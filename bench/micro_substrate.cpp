@@ -6,6 +6,8 @@
  * gate the wall-clock cost of the paper-reproduction sweeps.
  */
 
+#include <array>
+
 #include <benchmark/benchmark.h>
 
 #include "src/analysis/spearman.hh"
@@ -16,10 +18,8 @@
 #include "src/mem/tlb.hh"
 #include "src/net/tcp_connection.hh"
 #include "src/sim/event_queue.hh"
-#include "src/sim/lane_scheduler.hh"
 #include "src/sim/logging.hh"
 #include "src/sim/random.hh"
-#include "src/sim/spsc.hh"
 
 using namespace na;
 
@@ -68,76 +68,6 @@ BM_EventQueueDescheduleStorm(benchmark::State &state)
         eq.deschedule(&ev);
 }
 BENCHMARK(BM_EventQueueDescheduleStorm);
-
-/** Raw SPSC channel cost: one push+pop round trip per iteration. */
-void
-BM_SpscRingPushPop(benchmark::State &state)
-{
-    sim::SpscRing<std::uint64_t> ring(1024);
-    std::uint64_t i = 0;
-    std::uint64_t out = 0;
-    for (auto _ : state) {
-        ring.tryPush(i++);
-        ring.tryPop(out);
-    }
-    benchmark::DoNotOptimize(out);
-}
-BENCHMARK(BM_SpscRingPushPop);
-
-/**
- * One cross-lane event per iteration: lane 1 sends through the lane
- * channel, the barrier drains it, lane 0 executes it. The per-packet
- * overhead a multi-lane Wire adds over a same-lane schedule().
- */
-void
-BM_LaneChannelCross(benchmark::State &state)
-{
-    sim::EventQueue eq0;
-    sim::LaneScheduler::Config cfg;
-    cfg.numLanes = 2;
-    cfg.lookahead = 100;
-    cfg.useThreads = false; // measure the mechanism, not thread wakeup
-    sim::LaneScheduler sched(eq0, cfg);
-
-    std::uint64_t n = 0;
-    sim::LambdaEvent cross("cross", [&n] { ++n; });
-    for (auto _ : state) {
-        const sim::Tick t = sched.lane(1).now();
-        sched.lane(1).scheduleLambda(t + 1, "send", [&] {
-            sched.scheduleCross(1, 0, &cross,
-                                sched.lane(1).now() + 101);
-        });
-        sched.run(t + 103); // window + barrier + delivery window
-    }
-    benchmark::DoNotOptimize(n);
-}
-BENCHMARK(BM_LaneChannelCross);
-
-/**
- * Horizon-barrier overhead: one window + barrier per iteration with a
- * single event on each lane and nothing crossing. The fixed tax every
- * lookahead window pays before any useful work.
- */
-void
-BM_LaneWindowBarrier(benchmark::State &state)
-{
-    sim::EventQueue eq0;
-    sim::LaneScheduler::Config cfg;
-    cfg.numLanes = 2;
-    cfg.lookahead = 100;
-    cfg.useThreads = false;
-    sim::LaneScheduler sched(eq0, cfg);
-
-    std::uint64_t n = 0;
-    for (auto _ : state) {
-        const sim::Tick t = sched.lane(0).now();
-        sched.lane(0).scheduleLambda(t + 1, "a", [&n] { ++n; });
-        sched.lane(1).scheduleLambda(t + 1, "b", [&n] { ++n; });
-        sched.run(t + 101);
-    }
-    benchmark::DoNotOptimize(n);
-}
-BENCHMARK(BM_LaneWindowBarrier);
 
 /** Single-walk hit-or-fill against one L2-sized cache level. */
 void

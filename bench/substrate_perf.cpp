@@ -2,43 +2,38 @@
  * @file
  * Versioned substrate performance tracker.
  *
- * Measures the rates the paper-reproduction sweeps are gated on — raw
- * event-queue throughput, end-to-end campaign-point rate, and the
- * multi-lane speedup on the flow-churn workload — and writes them to a
+ * Measures the rates the paper-reproduction sweeps depend on — raw
+ * event-queue throughput, simulator events/sec on the flow-churn
+ * workload, and end-to-end campaign-point rate — and writes them to a
  * JSON file (default BENCH_substrate.json, or argv[1]) so successive
  * commits can be compared:
  *
  *   {
- *     "schema_version": 2,
+ *     "schema_version": 3,
  *     "events_per_sec": ...,        // event queue schedule+dispatch rate
  *     "sim_ns_per_wall_ms": ...,    // simulated ns advanced per wall ms
  *     "hw_threads": ...,            // hardware concurrency at run time
- *     "lane_scaling": [             // flow-churn run per lane count
- *       {lanes, wall_ms, events, events_per_sec, speedup}, ...
- *     ],
+ *     "churn_events_per_sec": ...,  // events/sec of one churn run
  *     "campaign_points": [ {label, wall_ms, throughput_mbps}, ... ],
  *     "total_wall_ms": ...,
  *     "history": [ {label, when, events_per_sec,
- *                   churn_lanes1_eps, churn_best_eps, speedup}, ... ]
+ *                   churn_events_per_sec}, ... ]
  *   }
  *
- * The history array is carried forward from any existing file at the
- * output path and a row for this run is appended — per-PR regression
- * tracking without external tooling. Everything else is overwritten.
+ * The history array is carried forward unparsed from any existing file
+ * at the output path (older rows keep their own schema's fields) and a
+ * row for this run is appended — per-PR regression tracking without
+ * external tooling. Everything else is overwritten.
  *
- * The binary re-reads the file after writing and exits nonzero if it is
- * missing, empty, or does not round-trip. When the host has >= 2
- * hardware threads it additionally gates on the lane speedup: threaded
- * lanes must reach >= 1.3x single-lane events/sec on the churn
- * workload, or the exit code is nonzero. On a single-core host the
- * speedup is recorded but not gated — there is no parallel hardware to
- * demonstrate it on.
+ * The binary re-reads the file after writing and exits nonzero only if
+ * a measurement produced nothing or the file is missing, empty, or does
+ * not round-trip. It never gates on a rate, so the exit code does not
+ * depend on the host.
  *
  * NA_BENCH_FAST=1 shrinks the workload for CI smoke use; numbers are
  * then only good for validating the pipeline, not for comparisons.
  */
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -96,16 +91,7 @@ struct PointTiming
     double simNs = 0;
 };
 
-struct LaneTiming
-{
-    int lanes = 1;
-    double wallMs = 0;
-    std::uint64_t events = 0;
-    double eventsPerSec = 0;
-    double speedup = 1.0; ///< vs the lanes=1 row
-};
-
-/** The ext_flows-style churn config the lane rows are measured on. */
+/** The ext_flows-style churn config the churn rate is measured on. */
 core::SystemConfig
 churnConfig(bool fast)
 {
@@ -123,29 +109,22 @@ churnConfig(bool fast)
     return cfg;
 }
 
-/** One churn run at @p lanes; fills everything but speedup. */
-LaneTiming
-measureChurn(bool fast, int lanes)
+/** Events/sec of one churn run (0 if it dispatched nothing). */
+double
+measureChurnRate(bool fast)
 {
-    core::SystemConfig cfg = churnConfig(fast);
-    cfg.lanes = lanes;
-    cfg.laneThreads = true;
     core::RunSchedule sched;
     sched.warmup = fast ? 2'000'000 : 10'000'000;
     sched.measure = fast ? 20'000'000 : 100'000'000;
 
-    core::System sys(cfg);
-    LaneTiming t;
-    t.lanes = lanes;
+    core::System sys(churnConfig(fast));
     const auto start = Clock::now();
     (void)core::Experiment::measure(sys, sched);
-    t.wallMs = wallMsSince(start);
-    t.events = sys.totalProcessedEvents();
-    if (t.wallMs > 0.0) {
-        t.eventsPerSec =
-            static_cast<double>(t.events) / (t.wallMs / 1000.0);
-    }
-    return t;
+    const double ms = wallMsSince(start);
+    const std::uint64_t events = sys.eventQueue().processedCount();
+    if (events == 0 || ms <= 0.0)
+        return 0.0;
+    return static_cast<double>(events) / (ms / 1000.0);
 }
 
 /**
@@ -211,26 +190,13 @@ main(int argc, char **argv)
         return 1;
     }
 
-    // --- Lane scaling on the churn workload -------------------------
-    std::vector<LaneTiming> lane_rows;
-    for (int lanes : {1, 2, 3}) {
-        LaneTiming t = measureChurn(fast, lanes);
-        if (t.events == 0 || t.wallMs <= 0.0) {
-            std::fprintf(stderr,
-                         "substrate_perf: churn run (lanes=%d) "
-                         "produced no events\n",
-                         lanes);
-            return 1;
-        }
-        lane_rows.push_back(t);
+    // --- Churn workload ---------------------------------------------
+    const double churn_eps = measureChurnRate(fast);
+    if (churn_eps <= 0.0) {
+        std::fprintf(stderr,
+                     "substrate_perf: churn run produced no events\n");
+        return 1;
     }
-    const double base_eps = lane_rows[0].eventsPerSec;
-    double best_eps = base_eps;
-    for (LaneTiming &t : lane_rows) {
-        t.speedup = base_eps > 0.0 ? t.eventsPerSec / base_eps : 0.0;
-        best_eps = std::max(best_eps, t.eventsPerSec);
-    }
-    const double best_speedup = base_eps > 0.0 ? best_eps / base_eps : 0;
 
     // --- End-to-end campaign points ---------------------------------
     core::SystemConfig base;
@@ -288,7 +254,7 @@ main(int argc, char **argv)
 
     std::ostringstream json;
     char buf[320];
-    json << "{\n  \"schema_version\": 2,\n";
+    json << "{\n  \"schema_version\": 3,\n";
     std::snprintf(buf, sizeof buf, "  \"events_per_sec\": %.1f,\n",
                   events_per_sec);
     json << buf;
@@ -299,20 +265,9 @@ main(int argc, char **argv)
     std::snprintf(buf, sizeof buf, "  \"hw_threads\": %u,\n",
                   hw_threads);
     json << buf;
-    json << "  \"lane_scaling\": [\n";
-    for (std::size_t i = 0; i < lane_rows.size(); ++i) {
-        const LaneTiming &t = lane_rows[i];
-        std::snprintf(buf, sizeof buf,
-                      "    {\"lanes\": %d, \"wall_ms\": %.2f, "
-                      "\"events\": %llu, \"events_per_sec\": %.1f, "
-                      "\"speedup\": %.3f}%s\n",
-                      t.lanes, t.wallMs,
-                      static_cast<unsigned long long>(t.events),
-                      t.eventsPerSec, t.speedup,
-                      i + 1 < lane_rows.size() ? "," : "");
-        json << buf;
-    }
-    json << "  ],\n";
+    std::snprintf(buf, sizeof buf,
+                  "  \"churn_events_per_sec\": %.1f,\n", churn_eps);
+    json << buf;
     json << "  \"campaign_points\": [\n";
     for (std::size_t i = 0; i < timings.size(); ++i) {
         std::snprintf(buf, sizeof buf,
@@ -333,11 +288,10 @@ main(int argc, char **argv)
     std::snprintf(buf, sizeof buf,
                   "    {\"label\": \"%s\", \"when\": %lld, "
                   "\"events_per_sec\": %.1f, "
-                  "\"churn_lanes1_eps\": %.1f, "
-                  "\"churn_best_eps\": %.1f, \"speedup\": %.3f}\n",
+                  "\"churn_events_per_sec\": %.1f}\n",
                   run_label.c_str(),
                   static_cast<long long>(std::time(nullptr)),
-                  events_per_sec, base_eps, best_eps, best_speedup);
+                  events_per_sec, churn_eps);
     json << buf;
     json << "  ]\n}\n";
     const std::string payload = json.str();
@@ -355,7 +309,7 @@ main(int argc, char **argv)
     std::stringstream readback;
     readback << in.rdbuf();
     if (readback.str().empty() || readback.str() != payload ||
-        payload.find("\"schema_version\": 2") == std::string::npos) {
+        payload.find("\"schema_version\": 3") == std::string::npos) {
         std::fprintf(stderr,
                      "substrate_perf: %s is empty or malformed\n",
                      path);
@@ -363,20 +317,9 @@ main(int argc, char **argv)
     }
 
     std::printf("substrate_perf: %.0f events/s, %.0f sim-ns/wall-ms, "
-                "churn lanes1 %.0f ev/s -> best %.0f ev/s (%.2fx, "
-                "%u hw threads), %zu points in %.0f ms -> %s\n",
-                events_per_sec, sim_ns_per_wall_ms, base_eps, best_eps,
-                best_speedup, hw_threads, timings.size(), total_wall_ms,
-                path);
-
-    // Cores-aware speedup gate: parallel lanes must pay for themselves
-    // wherever there is parallel hardware to run them on.
-    if (hw_threads >= 2 && best_speedup < 1.3) {
-        std::fprintf(stderr,
-                     "substrate_perf: lane speedup %.2fx below the "
-                     "1.3x gate on %u hardware threads\n",
-                     best_speedup, hw_threads);
-        return 1;
-    }
+                "churn %.0f ev/s (%u hw threads), %zu points in %.0f ms "
+                "-> %s\n",
+                events_per_sec, sim_ns_per_wall_ms, churn_eps, hw_threads,
+                timings.size(), total_wall_ms, path);
     return 0;
 }

@@ -87,6 +87,7 @@ class Parser
   private:
     const std::string &src;
     std::size_t pos = 0;
+    int depth = 0; ///< containers currently open
 
     [[noreturn]] void
     fail(const std::string &why) const
@@ -136,10 +137,14 @@ class Parser
     parseValue()
     {
         const char c = peek();
-        if (c == '{')
-            return parseObject();
-        if (c == '[')
-            return parseArray();
+        if (c == '{' || c == '[') {
+            if (depth == maxDepth)
+                fail(sim::format("nesting deeper than %d", maxDepth));
+            ++depth;
+            Value v = c == '{' ? parseObject() : parseArray();
+            --depth;
+            return v;
+        }
         if (c == '"') {
             Value v;
             v.kind = Value::Kind::String;

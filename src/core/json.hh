@@ -64,8 +64,16 @@ struct Value
 };
 
 /**
+ * Deepest container nesting parse() accepts. The parser recurses once
+ * per level, so the cap bounds its stack use whatever a resume stream
+ * or shard file holds; the repo's own documents nest a few levels.
+ */
+inline constexpr int maxDepth = 256;
+
+/**
  * Parse a complete JSON document.
- * @throws std::runtime_error (with byte offset) on malformed input.
+ * @throws std::runtime_error (with byte offset) on malformed input,
+ *         including nesting deeper than maxDepth.
  */
 Value parse(const std::string &text);
 

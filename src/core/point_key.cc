@@ -51,7 +51,9 @@ canonicalPointText(const SystemConfig &config,
     t += "|wire=" + dblText(config.wireBitsPerSec);
     t += "," + std::to_string(config.wireLatencyTicks);
     t += "," + dblText(config.wireLossProb);
-    t += "|lanes=" + std::to_string(config.lanes);
+    // A run always has one event queue, but the field stays in the
+    // text so keys of existing JSONL stores still match on resume.
+    t += "|lanes=1";
     t += "|iv=" + dblText(config.statsIntervalUs);
     t += "|sched=" + std::to_string(schedule.establishDeadline);
     t += "," + std::to_string(schedule.warmup);

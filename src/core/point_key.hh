@@ -5,7 +5,7 @@
  * A PointKey is a stable 64-bit hash (FNV-1a) over a canonical text
  * serialization of everything that determines a point's result:
  * SystemConfig::summary()-grade config fields, the platform seed, the
- * wire parameters, the lane/observability knobs, and the RunSchedule.
+ * wire parameters, the observability knob, and the RunSchedule.
  * Two points with the same key produce bit-identical results, so:
  *
  *  - resumable sweeps skip points whose key already has a successful

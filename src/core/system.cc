@@ -123,27 +123,6 @@ SystemConfig::validate() const
         }
     }
 
-    if (lanes < 1) {
-        throw std::runtime_error(sim::format(
-            "SystemConfig: lanes must be >= 1, got %d (1 is the "
-            "classic single-queue run)",
-            lanes));
-    }
-    if (lanes > numConnections + 1) {
-        throw std::runtime_error(sim::format(
-            "SystemConfig: lanes = %d exceeds numConnections + 1 = %d "
-            "— the host lane plus one lane per peer is the maximum "
-            "useful decomposition",
-            lanes, numConnections + 1));
-    }
-    if (lanes > 1 && wireLatencyTicks < 1) {
-        throw std::runtime_error(sim::format(
-            "SystemConfig: lanes = %d requires wireLatencyTicks >= 1 "
-            "(the wire latency is the conservative lookahead window), "
-            "got %llu",
-            lanes, static_cast<unsigned long long>(wireLatencyTicks)));
-    }
-
     faults.validate("SystemConfig: faults.");
 }
 
@@ -180,15 +159,6 @@ System::System(const SystemConfig &config)
 {
     cfg.validate();
     eq.setStallThreshold(cfg.stallEventThreshold);
-
-    if (cfg.lanes > 1) {
-        sim::LaneScheduler::Config lc;
-        lc.numLanes = cfg.lanes;
-        lc.lookahead = cfg.wireLatencyTicks;
-        lc.useThreads = cfg.laneThreads;
-        lc.stallEventThreshold = cfg.stallEventThreshold;
-        laneSched = std::make_unique<sim::LaneScheduler>(eq, lc);
-    }
 
     kern = std::make_unique<os::Kernel>(this, eq, cfg.platform);
     if (cfg.irqRotationTicks > 0)
@@ -258,8 +228,6 @@ System::System(const SystemConfig &config)
             this, sim::format("wire%d", i), eq, cfg.platform.freqHz,
             cfg.wireBitsPerSec, cfg.wireLatencyTicks, cfg.wireLossProb,
             cfg.platform.seed * 131 + static_cast<std::uint64_t>(i)));
-        if (laneSched)
-            wires[i]->setLanes(*laneSched, 0, peerLane(i));
         nics.push_back(std::make_unique<net::Nic>(
             this, sim::format("nic%d", i), i, *kern, *pool, *wires[i],
             nic_cfg));
@@ -286,8 +254,7 @@ System::System(const SystemConfig &config)
             drv->bindSocket(*sockets[i], *nics[i]);
 
             peers.push_back(std::make_unique<net::RemotePeer>(
-                this, sim::format("peer%d", i), wires[i]->peerQueue(),
-                *wires[i],
+                this, sim::format("peer%d", i), eq, *wires[i],
                 net::connFlowKey(i),
                 cfg.ttcp().mode == workload::TtcpMode::Transmit
                     ? net::PeerRole::Sink
@@ -322,8 +289,7 @@ System::System(const SystemConfig &config)
             fcc.rpcExchangesPerFlow = mix.rpcExchangesPerFlow;
             fcc.tcp = cfg.tcp;
             flowPeers.push_back(std::make_unique<net::FlowClientPeer>(
-                this, sim::format("flowsrc%d", i), wires[i]->peerQueue(),
-                *wires[i], fcc,
+                this, sim::format("flowsrc%d", i), eq, *wires[i], fcc,
                 cfg.platform.seed * 524287ULL +
                     static_cast<std::uint64_t>(i) * 31ULL + 7));
             flowPeers[i]->start();
@@ -444,24 +410,15 @@ System::establishAll(sim::Tick deadline)
         }
         if (all)
             return true;
-        advanceTo(eq.now() + slice);
+        eq.runUntil(eq.now() + slice);
     }
     return false;
 }
 
 void
-System::advanceTo(sim::Tick when)
-{
-    if (laneSched)
-        laneSched->run(when);
-    else
-        eq.runUntil(when);
-}
-
-void
 System::runFor(sim::Tick duration)
 {
-    advanceTo(eq.now() + duration);
+    eq.runUntil(eq.now() + duration);
 }
 
 void

@@ -30,7 +30,6 @@
 #include "src/os/kernel.hh"
 #include "src/prof/interval.hh"
 #include "src/sim/event_queue.hh"
-#include "src/sim/lane_scheduler.hh"
 #include "src/stats/stats.hh"
 #include "src/sim/timeline.hh"
 #include "src/workload/flowmix.hh"
@@ -93,26 +92,6 @@ struct SystemConfig
      */
     std::uint64_t stallEventThreshold = 10'000'000;
     /**
-     * Event-execution lanes for one run. 1 (the default) is the
-     * classic single-queue simulation — bit-identical to every prior
-     * release. With lanes > 1 the host stack (kernel, NICs, driver,
-     * sockets, apps) stays on lane 0 and the remote peers are
-     * distributed round-robin over lanes 1..lanes-1; the lanes
-     * execute concurrently under conservative lookahead windows of
-     * wireLatencyTicks. Multi-lane runs are deterministic, and
-     * result-identical to single-lane (the determinism-matrix test
-     * asserts this across steering x faults x workload).
-     */
-    int lanes = 1;
-    /**
-     * Execute multi-lane windows on persistent worker threads. False
-     * runs the lanes serially window-by-window — identical results,
-     * no concurrency — which is the right mode on single-core hosts.
-     * Ignored when lanes == 1.
-     */
-    bool laneThreads = true;
-
-    /**
      * Sanity-check the configuration.
      * @throws std::runtime_error describing the first violation.
      *
@@ -159,27 +138,6 @@ class System : public stats::Group
     const SystemConfig &config() const { return cfg; }
     sim::EventQueue &eventQueue() { return eq; }
 
-    /** Lane scheduler driving this run (nullptr when lanes == 1). */
-    sim::LaneScheduler *laneScheduler() { return laneSched.get(); }
-
-    /** Events processed so far, summed across every lane's queue. */
-    std::uint64_t
-    totalProcessedEvents() const
-    {
-        std::uint64_t n = eq.processedCount();
-        if (laneSched) {
-            for (int i = 1; i < laneSched->numLanes(); ++i)
-                n += laneSched->lane(i).processedCount();
-        }
-        return n;
-    }
-
-    /** The lane peer @p i executes on (0 when single-lane). */
-    int
-    peerLane(int i) const
-    {
-        return cfg.lanes > 1 ? 1 + i % (cfg.lanes - 1) : 0;
-    }
     os::Kernel &kernel() { return *kern; }
     net::Driver &driver() { return *drv; }
     net::SkbPool &skbPool() { return *pool; }
@@ -243,9 +201,6 @@ class System : public stats::Group
     /** Advance simulated time by @p duration. */
     void runFor(sim::Tick duration);
 
-    /** Advance to absolute tick @p when (lane-aware). */
-    void advanceTo(sim::Tick when);
-
     /** Zero all statistics and clamp idle accounting (end of warmup). */
     void beginMeasurement();
 
@@ -259,10 +214,6 @@ class System : public stats::Group
   private:
     SystemConfig cfg;
     sim::EventQueue eq;
-    /** Declared right after eq and before every component that may
-     *  hold events on a lane queue (wires, peers): destroyed after
-     *  them, so their destructors can still deschedule. */
-    std::unique_ptr<sim::LaneScheduler> laneSched;
 
     std::unique_ptr<os::Kernel> kern;
     std::unique_ptr<net::SteeringPolicy> steerPolicy;

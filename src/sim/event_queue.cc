@@ -188,21 +188,6 @@ EventQueue::compact()
     numStale = 0;
 }
 
-Tick
-EventQueue::nextEventTick()
-{
-    while (!heap.empty()) {
-        const Entry &top = heap.front();
-        if (live(top))
-            return top.when;
-        Entry e = popTop();
-        staleSeqs.erase(e.seq);
-        if (numStale > 0)
-            --numStale;
-    }
-    return maxTick;
-}
-
 bool
 EventQueue::runOne()
 {

@@ -168,14 +168,6 @@ class EventQueue
     std::uint64_t processedCount() const { return numProcessed; }
 
     /**
-     * @return the tick of the earliest live event, or maxTick if none
-     *         are pending. Drains stale top entries as a side effect
-     *         (which cannot change delivery order). The lane scheduler
-     *         uses this to fast-forward windows over idle gaps.
-     */
-    Tick nextEventTick();
-
-    /**
      * Run until the queue empties or simulated time would exceed
      * @p until. Events exactly at @p until are processed.
      * Advances now() to @p until (or the last event time if the queue

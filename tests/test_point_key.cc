@@ -79,11 +79,6 @@ TEST(PointKey, SensitiveToEveryCoveredAxis)
         EXPECT_NE(core::pointKeyOf(c, sched), base_key) << "wire loss";
     }
     {
-        core::SystemConfig c = cfg;
-        c.lanes = 2;
-        EXPECT_NE(core::pointKeyOf(c, sched), base_key) << "lanes";
-    }
-    {
         core::RunSchedule s = sched;
         s.measure *= 2;
         EXPECT_NE(core::pointKeyOf(cfg, s), base_key)
@@ -95,6 +90,43 @@ TEST(PointKey, SensitiveToEveryCoveredAxis)
         EXPECT_NE(core::pointKeyOf(cfg, s), base_key)
             << "schedule windows";
     }
+}
+
+/**
+ * The canonical text is a storage format: committed JSONL stores resume
+ * by these keys and perfbench's references pin them, so the text must
+ * not move. `|lanes=1` names a removed multi-queue mode; it stays so
+ * keys written while that mode existed still match.
+ */
+TEST(PointKey, CanonicalTextIsPinned)
+{
+    const core::RunSchedule sched = baseSchedule();
+    const core::SystemConfig ttcp = baseConfig();
+    EXPECT_EQ(core::canonicalPointText(ttcp, sched),
+              "TX 65536B No Aff x2, 2 cpus, steering=static q=1, rot=0"
+              "|seed=42|freq=2e+09|wire=1e+09,10000,0|lanes=1|iv=0"
+              "|sched=4000000000,2000000,10000000,0,0.01");
+    EXPECT_EQ(core::formatPointKey(core::pointKeyOf(ttcp, sched)),
+              "0e2b53ab2ca1c8f4");
+
+    core::SystemConfig mix = baseConfig();
+    workload::FlowMixConfig m;
+    m.maxConcurrentFlows = 32;
+    m.totalFlows = 200;
+    m.flowSizeMin = 512;
+    m.flowSizeMax = 32 * 1024;
+    m.meanInterarrivalTicks = 30'000;
+    m.listenBacklog = 256;
+    mix.workload = m;
+    mix.steering.kind = net::SteeringKind::FlowDirector;
+    mix.steering.numQueues = 2;
+    EXPECT_EQ(core::canonicalPointText(mix, sched),
+              "MIX No Aff x2, 2 cpus, steering=flow_director q=2, rot=0 "
+              "wl:mix(z=1.2,n=32)|seed=42|freq=2e+09"
+              "|wire=1e+09,10000,0|lanes=1|iv=0"
+              "|sched=4000000000,2000000,10000000,0,0.01");
+    EXPECT_EQ(core::formatPointKey(core::pointKeyOf(mix, sched)),
+              "a8fc502f659b6edb");
 }
 
 TEST(PointKey, HexFormatRoundTrips)
