@@ -30,8 +30,9 @@ BM_EventQueueScheduleRun(benchmark::State &state)
 {
     sim::EventQueue eq;
     std::uint64_t n = 0;
+    sim::LambdaEvent ev("bm", [&n] { ++n; });
     for (auto _ : state) {
-        eq.scheduleLambda(eq.now() + 10, "bm", [&n] { ++n; });
+        eq.schedule(&ev, eq.now() + 10);
         eq.runOne();
     }
     benchmark::DoNotOptimize(n);
@@ -40,8 +41,8 @@ BENCHMARK(BM_EventQueueScheduleRun);
 
 /**
  * Deschedule/reschedule churn on member events — the Nic moderation
- * and Processor tick pattern. Exercises lazy deletion plus periodic
- * heap compaction.
+ * and Processor tick pattern: every deschedule removes a heap slot and
+ * every schedule adds one.
  */
 void
 BM_EventQueueDescheduleStorm(benchmark::State &state)

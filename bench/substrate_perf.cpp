@@ -66,16 +66,22 @@ wallMsSince(Clock::time_point start)
         .count();
 }
 
-/** Pooled-lambda schedule+dispatch rate through the event queue. */
+/**
+ * Schedule+dispatch rate through the event queue: one caller-owned
+ * event reschedules itself until it has fired @p events times.
+ */
 double
 measureEventRate(std::uint64_t events)
 {
     sim::EventQueue eq;
     std::uint64_t n = 0;
+    sim::LambdaEvent tick("bench", [&] {
+        if (++n < events)
+            eq.schedule(&tick, eq.now() + 10);
+    });
     const auto start = Clock::now();
-    for (std::uint64_t i = 0; i < events; ++i) {
-        eq.scheduleLambda(eq.now() + 10, "bench", [&n] { ++n; });
-        eq.runOne();
+    eq.schedule(&tick, 10);
+    while (eq.runOne()) {
     }
     const double ms = wallMsSince(start);
     if (n != events || ms <= 0.0)

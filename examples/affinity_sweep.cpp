@@ -41,15 +41,35 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <stdexcept>
+#include <string>
 
 #include "src/analysis/table.hh"
 #include "src/core/campaign.hh"
+#include "src/core/env.hh"
 #include "src/core/results_json.hh"
 #include "src/core/sweep.hh"
 #include "src/sim/logging.hh"
 #include "src/sim/timeline.hh"
 
 using namespace na;
+
+namespace {
+
+/** @return @p text parsed strictly as a T; a bad value exits 1. */
+template <typename T>
+T
+flagValue(const char *flag, const char *text)
+{
+    try {
+        return core::env::number<T>(flag, text);
+    } catch (const std::runtime_error &e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        std::exit(1);
+    }
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -65,22 +85,22 @@ main(int argc, char **argv)
     const char *timeline_path = nullptr;
 
     for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--rx")) {
+        const char *flag = argv[i];
+        if (!std::strcmp(flag, "--rx")) {
             cfg.ttcp().mode = workload::TtcpMode::Receive;
         } else if (!std::strcmp(argv[i], "--conns") && i + 1 < argc) {
-            cfg.numConnections = std::atoi(argv[++i]);
+            cfg.numConnections = flagValue<int>(flag, argv[++i]);
         } else if (!std::strcmp(argv[i], "--cpus") && i + 1 < argc) {
-            cfg.platform.numCpus = std::atoi(argv[++i]);
+            cfg.platform.numCpus = flagValue<int>(flag, argv[++i]);
         } else if (!std::strcmp(argv[i], "--size") && i + 1 < argc) {
             cfg.ttcp().msgSize =
-                static_cast<std::uint32_t>(std::atoi(argv[++i]));
+                flagValue<std::uint32_t>(flag, argv[++i]);
         } else if (!std::strcmp(argv[i], "--loss") && i + 1 < argc) {
-            cfg.wireLossProb = std::atof(argv[++i]);
+            cfg.wireLossProb = flagValue<double>(flag, argv[++i]);
         } else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
-            options.numThreads = std::atoi(argv[++i]);
+            options.numThreads = flagValue<int>(flag, argv[++i]);
         } else if (!std::strcmp(argv[i], "--seed") && i + 1 < argc) {
-            options.seed = static_cast<std::uint64_t>(
-                std::strtoull(argv[++i], nullptr, 10));
+            options.seed = flagValue<std::uint64_t>(flag, argv[++i]);
         } else if (!std::strcmp(argv[i], "--json") && i + 1 < argc) {
             json_path = argv[++i];
         } else if (!std::strcmp(argv[i], "--steering") && i + 1 < argc) {
@@ -100,35 +120,37 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (!std::strcmp(argv[i], "--queues") && i + 1 < argc) {
-            cfg.steering.numQueues = std::atoi(argv[++i]);
+            cfg.steering.numQueues = flagValue<int>(flag, argv[++i]);
         } else if (!std::strcmp(argv[i], "--interval-stats") &&
                    i + 1 < argc) {
-            cfg.statsIntervalUs = std::atof(argv[++i]);
+            cfg.statsIntervalUs = flagValue<double>(flag, argv[++i]);
         } else if (!std::strcmp(argv[i], "--timeline") && i + 1 < argc) {
             timeline_path = argv[++i];
         } else if (!std::strcmp(argv[i], "--fault-loss") &&
                    i + 1 < argc) {
-            const double p = std::atof(argv[++i]);
+            const double p = flagValue<double>(flag, argv[++i]);
             cfg.faults.toPeer.lossProb = p;
             cfg.faults.toSut.lossProb = p;
         } else if (!std::strcmp(argv[i], "--fault-corrupt") &&
                    i + 1 < argc) {
-            cfg.faults.toSut.corruptProb = std::atof(argv[++i]);
+            cfg.faults.toSut.corruptProb =
+                flagValue<double>(flag, argv[++i]);
         } else if (!std::strcmp(argv[i], "--fault-dup") &&
                    i + 1 < argc) {
-            const double p = std::atof(argv[++i]);
+            const double p = flagValue<double>(flag, argv[++i]);
             cfg.faults.toPeer.dupProb = p;
             cfg.faults.toSut.dupProb = p;
         } else if (!std::strcmp(argv[i], "--fault-reorder") &&
                    i + 1 < argc) {
-            const double p = std::atof(argv[++i]);
+            const double p = flagValue<double>(flag, argv[++i]);
             cfg.faults.toPeer.reorderProb = p;
             cfg.faults.toSut.reorderProb = p;
         } else if (!std::strcmp(argv[i], "--fault-irq-loss") &&
                    i + 1 < argc) {
-            cfg.faults.irqLossProb = std::atof(argv[++i]);
+            cfg.faults.irqLossProb =
+                flagValue<double>(flag, argv[++i]);
         } else if (!std::strcmp(argv[i], "--retries") && i + 1 < argc) {
-            options.maxAttempts = std::atoi(argv[++i]);
+            options.maxAttempts = flagValue<int>(flag, argv[++i]);
         } else if (!std::strcmp(argv[i], "--jsonl") && i + 1 < argc) {
             options.jsonlPath = argv[++i];
         } else if (!std::strcmp(argv[i], "--resume") && i + 1 < argc) {
@@ -136,13 +158,14 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--shard") && i + 1 < argc) {
             const char *spec = argv[++i];
             const char *slash = std::strchr(spec, '/');
-            if (!slash || std::sscanf(spec, "%d/%d",
-                                      &options.shardIndex,
-                                      &options.shardCount) != 2) {
+            if (!slash) {
                 std::fprintf(stderr,
                              "--shard wants I/N, got '%s'\n", spec);
                 return 2;
             }
+            options.shardIndex =
+                flagValue<int>(flag, std::string(spec, slash).c_str());
+            options.shardCount = flagValue<int>(flag, slash + 1);
         } else {
             std::fprintf(stderr,
                          "usage: %s [--rx] [--conns N] [--cpus N] "

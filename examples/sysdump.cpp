@@ -8,7 +8,9 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <stdexcept>
 
+#include "src/core/env.hh"
 #include "src/core/experiment.hh"
 #include "src/sim/logging.hh"
 
@@ -33,9 +35,15 @@ main(int argc, char **argv)
             cfg.affinity = core::AffinityMode::Irq;
         else if (!std::strcmp(argv[i], "--proc"))
             cfg.affinity = core::AffinityMode::Proc;
-        else if (!std::strcmp(argv[i], "--size") && i + 1 < argc)
-            cfg.ttcp().msgSize = static_cast<std::uint32_t>(
-                std::atoi(argv[++i]));
+        else if (!std::strcmp(argv[i], "--size") && i + 1 < argc) {
+            try {
+                cfg.ttcp().msgSize =
+                    core::env::number<std::uint32_t>("--size", argv[++i]);
+            } catch (const std::runtime_error &e) {
+                std::fprintf(stderr, "error: %s\n", e.what());
+                return 1;
+            }
+        }
     }
 
     core::System system(cfg);

@@ -1,6 +1,5 @@
 #include "src/core/env.hh"
 
-#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
@@ -23,26 +22,26 @@ str(const char *name)
     return std::nullopt;
 }
 
+void
+badNumber(const char *what, const char *text, bool integral,
+          bool overflow)
+{
+    const char *kind = integral ? "an integer" : "a number";
+    if (overflow) {
+        throw std::runtime_error(
+            sim::format("%s='%s' overflows %s", what, text, kind));
+    }
+    throw std::runtime_error(sim::format(
+        "%s='%s' is not %s (no whitespace, no trailing junk)", what,
+        text, kind));
+}
+
 std::optional<long long>
 intValue(const char *name)
 {
-    const char *v = raw(name);
-    if (!v)
-        return std::nullopt;
-    const char *end = v + std::strlen(v);
-    long long out = 0;
-    const auto [ptr, ec] = std::from_chars(v, end, out);
-    if (ec == std::errc::result_out_of_range) {
-        throw std::runtime_error(sim::format(
-            "%s='%s' overflows an integer", name, v));
-    }
-    if (ec != std::errc() || ptr != end) {
-        throw std::runtime_error(sim::format(
-            "%s='%s' is not an integer (digits only, no trailing "
-            "junk)",
-            name, v));
-    }
-    return out;
+    if (const char *v = raw(name))
+        return number<long long>(name, v);
+    return std::nullopt;
 }
 
 bool

@@ -12,15 +12,54 @@
  *                    string, no locale) that *throws* on garbage
  *                    instead of silently reading "abc" as 0
  *  - env::flag()     boolean knob: set, non-empty, and not "0"
+ *  - env::number<T>() the same strict parse for any text, e.g. a
+ *                    command-line flag value
  */
 
 #ifndef NETAFFINITY_CORE_ENV_HH
 #define NETAFFINITY_CORE_ENV_HH
 
+#include <charconv>
+#include <cmath>
+#include <cstring>
 #include <optional>
 #include <string>
+#include <type_traits>
 
 namespace na::core::env {
+
+/**
+ * Throw number()'s error: names @p what and @p text.
+ * @param overflow the text is a number, but out of range for the type
+ */
+[[noreturn]] void badNumber(const char *what, const char *text,
+                            bool integral, bool overflow);
+
+/**
+ * @return all of @p text parsed as a T (an integer or floating type)
+ *         by std::from_chars: no locale, no leading whitespace or '+',
+ *         no trailing junk, and for floating types a finite value.
+ * @throws std::runtime_error naming @p what (a variable or flag name)
+ *         and @p text when any of that fails, or the value does not
+ *         fit T ("-1" is not an unsigned).
+ */
+template <typename T>
+T
+number(const char *what, const char *text)
+{
+    static_assert(std::is_arithmetic_v<T>);
+    const char *end = text + std::strlen(text);
+    T out{};
+    const auto [ptr, ec] = std::from_chars(text, end, out);
+    bool ok = ec == std::errc() && ptr == end;
+    if constexpr (std::is_floating_point_v<T>)
+        ok = ok && std::isfinite(out);
+    if (!ok) {
+        badNumber(what, text, std::is_integral_v<T>,
+                  ec == std::errc::result_out_of_range);
+    }
+    return out;
+}
 
 /** @return the raw value of @p name, or nullptr when unset. */
 const char *raw(const char *name);

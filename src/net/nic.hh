@@ -171,8 +171,7 @@ class Nic : public stats::Group
     /**
      * DMA pull from the doorbell to the wire handoff. Pooled per NIC
      * through an intrusive freelist so the steady-state TX path
-     * allocates nothing (the old scheduleLambda path built a name
-     * string and a closure per frame).
+     * allocates nothing (no name string or closure per frame).
      */
     class TxDmaEvent : public sim::Event
     {

@@ -1,10 +1,7 @@
 #include "src/os/timer_list.hh"
 
-#include <vector>
-
 #include "src/os/exec_context.hh"
 #include "src/os/processor.hh"
-#include "src/sim/logging.hh"
 
 namespace na::os {
 
@@ -19,9 +16,8 @@ TimerList::TimerList(stats::Group *parent)
 TimerId
 TimerList::arm(sim::CpuId cpu, sim::Tick expiry, Callback cb)
 {
-    const TimerId id = nextId++;
-    byId.emplace(id, Entry{cpu, expiry, std::move(cb)});
-    byExpiry.emplace(expiry, id);
+    const TimerId id{expiry, nextSeq++};
+    timers.emplace(id, Entry{cpu, std::move(cb)});
     ++armedTotal;
     return id;
 }
@@ -29,17 +25,8 @@ TimerList::arm(sim::CpuId cpu, sim::Tick expiry, Callback cb)
 bool
 TimerList::cancel(TimerId id)
 {
-    auto it = byId.find(id);
-    if (it == byId.end())
+    if (timers.erase(id) == 0)
         return false;
-    auto range = byExpiry.equal_range(it->second.expiry);
-    for (auto e = range.first; e != range.second; ++e) {
-        if (e->second == id) {
-            byExpiry.erase(e);
-            break;
-        }
-    }
-    byId.erase(it);
     ++cancelledTotal;
     return true;
 }
@@ -47,7 +34,7 @@ TimerList::cancel(TimerId id)
 bool
 TimerList::armed(TimerId id) const
 {
-    return byId.count(id) != 0;
+    return timers.count(id) != 0;
 }
 
 int
@@ -55,46 +42,28 @@ TimerList::runExpired(ExecContext &ctx)
 {
     const sim::CpuId cpu = ctx.cpuId();
     const sim::Tick now = ctx.proc.dispatchStart();
-
-    // Collect expired ids for this CPU first; callbacks may arm new
-    // timers, which must not run in this pass.
-    std::vector<TimerId> due;
-    for (auto it = byExpiry.begin();
-         it != byExpiry.end() && it->first <= now; ++it) {
-        const auto &entry = byId.at(it->second);
-        if (entry.cpu == cpu)
-            due.push_back(it->second);
-    }
+    // Timers that callbacks arm during this pass wait for the next one,
+    // even when already due.
+    const std::uint64_t passEnd = nextSeq;
 
     int fired = 0;
-    for (TimerId id : due) {
-        auto it = byId.find(id);
-        if (it == byId.end())
-            continue; // cancelled by an earlier callback this pass
-        Callback cb = std::move(it->second.cb);
-        auto range = byExpiry.equal_range(it->second.expiry);
-        for (auto e = range.first; e != range.second; ++e) {
-            if (e->second == id) {
-                byExpiry.erase(e);
-                break;
-            }
+    auto it = timers.begin();
+    while (it != timers.end() && it->first.expiry <= now) {
+        if (it->second.cpu != cpu || it->first.seq >= passEnd) {
+            ++it;
+            continue;
         }
-        byId.erase(it);
+        const TimerId id = it->first;
+        Callback cb = std::move(it->second.cb);
+        timers.erase(it);
         ++firedTotal;
         ++fired;
         cb(ctx);
+        // The callback may have armed or cancelled any timer; resume
+        // after the one that just fired.
+        it = timers.upper_bound(id);
     }
     return fired;
-}
-
-sim::Tick
-TimerList::nextExpiry(sim::CpuId cpu) const
-{
-    for (const auto &[expiry, id] : byExpiry) {
-        if (byId.at(id).cpu == cpu)
-            return expiry;
-    }
-    return sim::maxTick;
 }
 
 } // namespace na::os

@@ -8,10 +8,10 @@
 #ifndef NETAFFINITY_OS_TIMER_LIST_HH
 #define NETAFFINITY_OS_TIMER_LIST_HH
 
+#include <compare>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <unordered_map>
 
 #include "src/sim/types.hh"
 #include "src/stats/stats.hh"
@@ -20,10 +20,19 @@ namespace na::os {
 
 class ExecContext;
 
-/** Handle for cancelling an armed timer. */
-using TimerId = std::uint64_t;
+/**
+ * Handle for cancelling an armed timer, and its key in the timer list:
+ * timers are ordered by expiry, then by arm order (seq).
+ */
+struct TimerId
+{
+    sim::Tick expiry = 0;
+    std::uint64_t seq = 0; ///< arm order; 0 only in invalidTimer
 
-constexpr TimerId invalidTimer = 0;
+    friend auto operator<=>(const TimerId &, const TimerId &) = default;
+};
+
+constexpr TimerId invalidTimer{};
 
 /** The kernel's timer list. */
 class TimerList : public stats::Group
@@ -52,10 +61,7 @@ class TimerList : public stats::Group
      */
     int runExpired(ExecContext &ctx);
 
-    /** Earliest pending expiry for @p cpu (maxTick if none). */
-    sim::Tick nextExpiry(sim::CpuId cpu) const;
-
-    std::size_t pendingCount() const { return byId.size(); }
+    std::size_t pendingCount() const { return timers.size(); }
 
     stats::Scalar armedTotal;
     stats::Scalar firedTotal;
@@ -65,13 +71,11 @@ class TimerList : public stats::Group
     struct Entry
     {
         sim::CpuId cpu;
-        sim::Tick expiry;
         Callback cb;
     };
 
-    std::uint64_t nextId = 1;
-    std::multimap<sim::Tick, TimerId> byExpiry;
-    std::unordered_map<TimerId, Entry> byId;
+    std::uint64_t nextSeq = 1;
+    std::map<TimerId, Entry> timers;
 };
 
 } // namespace na::os

@@ -1,10 +1,8 @@
 #include "src/sim/event_queue.hh"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "src/sim/logging.hh"
-#include "src/sim/trace.hh"
 
 namespace na::sim {
 
@@ -25,7 +23,7 @@ Event::~Event()
     // Owners must deschedule before destruction; we cannot reach back
     // into the queue from here (we do not know which queue), so just
     // flag the bug.
-    if (_scheduled)
+    if (scheduled())
         panic("event '%s' destroyed while scheduled", name().c_str());
 }
 
@@ -51,206 +49,121 @@ EventQueue::EventQueue() = default;
 
 EventQueue::~EventQueue()
 {
-    // Unschedule live events (parking queue-owned ones in the free
-    // list) and drain the free list. Stale entries may point at events
-    // their owners already destroyed — never dereference those.
-    while (!heap.empty()) {
-        Entry e = popTop();
-        if (live(e)) {
-            e.ev->_scheduled = false;
-            e.ev->_when = maxTick;
-            releaseRef(e.ev);
-        }
+    // Unschedule what is still pending so owners that outlive the
+    // queue can destroy their events without tripping the panic above.
+    for (const Entry &e : heap) {
+        e.ev->_slot = Event::noSlot;
+        e.ev->_when = maxTick;
     }
-    for (LambdaEvent *ev : lambdaPool)
-        delete ev;
+}
+
+void
+EventQueue::place(std::size_t i, const Entry &e)
+{
+    heap[i] = e;
+    e.ev->_slot = i;
+}
+
+void
+EventQueue::sift(std::size_t i)
+{
+    const Entry e = heap[i];
+    // Up, while the entry beats its parent...
+    while (i > 0 && e < heap[(i - 1) / 2]) {
+        place(i, heap[(i - 1) / 2]);
+        i = (i - 1) / 2;
+    }
+    // ...otherwise down, while a child beats it.
+    for (std::size_t c; (c = 2 * i + 1) < heap.size(); i = c) {
+        if (c + 1 < heap.size() && heap[c + 1] < heap[c])
+            ++c;
+        if (!(heap[c] < e))
+            break;
+        place(i, heap[c]);
+    }
+    place(i, e);
+}
+
+void
+EventQueue::removeAt(std::size_t i)
+{
+    Event *ev = heap[i].ev;
+    ev->_slot = Event::noSlot;
+    ev->_when = maxTick;
+    const Entry last = heap.back();
+    heap.pop_back();
+    if (i < heap.size()) {
+        heap[i] = last;
+        sift(i);
+    }
 }
 
 void
 EventQueue::schedule(Event *ev, Tick when)
 {
-    if (ev->_scheduled)
+    if (ev->scheduled())
         panic("event '%s' scheduled twice", ev->name().c_str());
     if (when < curTick)
         panic("event '%s' scheduled in the past (%llu < %llu)",
               ev->name().c_str(), (unsigned long long)when,
               (unsigned long long)curTick);
-    ev->_scheduled = true;
     ev->_when = when;
     ev->_seq = nextSeq++;
-    ++ev->_heapRefs;
     heap.push_back(Entry{when, ev->priority(), ev->_seq, ev});
-    std::push_heap(heap.begin(), heap.end(), EntryCompare{});
+    sift(heap.size() - 1);
 }
 
 void
 EventQueue::deschedule(Event *ev)
 {
-    if (!ev->_scheduled)
-        return;
-    ev->_scheduled = false;
-    ev->_when = maxTick;
-    staleSeqs.insert(ev->_seq);
-    ++numStale;
-    // The heap entry stays and is skipped lazily on pop (its seq is in
-    // staleSeqs). The heap ref is dropped NOW, while the event is
-    // certainly alive — after this call the owner may destroy the
-    // event even though a stale entry still names its seq. Once stale
-    // entries outnumber live ones, rebuild the heap without them so
-    // churny callers (NIC moderation, TCP timers) cannot grow it
-    // without bound.
-    releaseRef(ev);
-    if (heap.size() >= compactMinEntries && numStale * 2 > heap.size())
-        compact();
+    if (ev->scheduled())
+        removeAt(ev->_slot);
 }
 
 void
 EventQueue::reschedule(Event *ev, Tick when)
 {
-    if (ev->_scheduled) {
-        // Like deschedule(), but dropping the heap ref by hand: the
-        // releaseRef() path would recycle a queue-owned one-shot into
-        // the free list, and this event is about to be live again.
-        ev->_scheduled = false;
-        ev->_when = maxTick;
-        staleSeqs.insert(ev->_seq);
-        ++numStale;
-        if (ev->_heapRefs == 0)
-            panic("event '%s' heap refcount underflow",
-                  ev->name().c_str());
-        --ev->_heapRefs;
-        if (heap.size() >= compactMinEntries &&
-            numStale * 2 > heap.size())
-            compact();
-    }
+    deschedule(ev);
     schedule(ev, when);
-}
-
-Event *
-EventQueue::scheduleLambda(Tick when, std::string name,
-                           std::function<void()> fn, int priority)
-{
-    LambdaEvent *ev;
-    if (!lambdaPool.empty()) {
-        ev = lambdaPool.back();
-        lambdaPool.pop_back();
-        ev->fn = std::move(fn);
-        ev->_priority = priority;
-    } else {
-        ev = new LambdaEvent({}, std::move(fn), priority);
-        ev->_queueOwned = true;
-    }
-    // Names exist for tracing and panic messages; only pay for the
-    // string while event tracing is on.
-    if (traceEnabled(TraceFlag::Event))
-        ev->setName(std::move(name));
-    schedule(ev, when);
-    return ev;
-}
-
-EventQueue::Entry
-EventQueue::popTop()
-{
-    std::pop_heap(heap.begin(), heap.end(), EntryCompare{});
-    Entry e = heap.back();
-    heap.pop_back();
-    return e;
-}
-
-void
-EventQueue::releaseRef(Event *ev)
-{
-    if (ev->_heapRefs == 0)
-        panic("event '%s' heap refcount underflow", ev->name().c_str());
-    --ev->_heapRefs;
-    if (ev->_queueOwned && !ev->_scheduled && ev->_heapRefs == 0) {
-        // One-shot fired (or was descheduled and fully drained):
-        // release the captured state now, reuse the object later.
-        auto *le = static_cast<LambdaEvent *>(ev);
-        le->fn = nullptr;
-        le->setName({});
-        lambdaPool.push_back(le);
-    }
-}
-
-void
-EventQueue::compact()
-{
-    // Stale entries' refs were dropped at deschedule time; just drop
-    // the entries themselves (without reading their Event pointers).
-    heap.erase(std::remove_if(heap.begin(), heap.end(),
-                              [this](const Entry &e) {
-                                  return !live(e);
-                              }),
-               heap.end());
-    std::make_heap(heap.begin(), heap.end(), EntryCompare{});
-    staleSeqs.clear();
-    numStale = 0;
 }
 
 bool
 EventQueue::runOne()
 {
-    while (!heap.empty()) {
-        Entry e = popTop();
-        Event *ev = e.ev;
-        if (!live(e)) {
-            // Stale entry from a deschedule/reschedule; its event may
-            // already be destroyed, so only the seq record is touched.
-            staleSeqs.erase(e.seq);
-            if (numStale > 0)
-                --numStale;
-            continue;
+    if (heap.empty())
+        return false;
+    const Entry e = heap.front();
+    if (e.when < curTick)
+        panic("event queue time went backwards");
+    removeAt(0);
+    curTick = e.when;
+    if (stallThreshold) {
+        if (e.when != stallTick) {
+            stallTick = e.when;
+            stallCount = 0;
         }
-        if (e.when < curTick)
-            panic("event queue time went backwards");
-        curTick = e.when;
-        ev->_scheduled = false;
-        ev->_when = maxTick;
-        if (stallThreshold) {
-            if (e.when != stallTick) {
-                stallTick = e.when;
-                stallCount = 0;
-            }
-            if (++stallCount > stallThreshold) {
-                // Livelock: time is not advancing. The event has
-                // already been unhooked from the heap (scheduled flag
-                // cleared, ref dropped) so its owner can destroy it
-                // safely while this exception unwinds the run.
-                const std::string culprit = ev->name();
-                releaseRef(ev);
-                stallCount = 0;
-                throw std::runtime_error(format(
-                    "event queue stalled: %llu events at tick %llu "
-                    "without progress (last: '%s')",
-                    (unsigned long long)stallThreshold,
-                    (unsigned long long)e.when, culprit.c_str()));
-            }
+        if (++stallCount > stallThreshold) {
+            // Livelock: time is not advancing. The event is already
+            // out of the heap, so its owner can destroy it safely while
+            // this exception unwinds the run.
+            stallCount = 0;
+            throw std::runtime_error(format(
+                "event queue stalled: %llu events at tick %llu "
+                "without progress (last: '%s')",
+                (unsigned long long)stallThreshold,
+                (unsigned long long)e.when, e.ev->name().c_str()));
         }
-        ev->process();
-        ++numProcessed;
-        releaseRef(ev);
-        return true;
     }
-    return false;
+    e.ev->process();
+    ++numProcessed;
+    return true;
 }
 
 void
 EventQueue::runUntil(Tick until)
 {
-    while (!heap.empty()) {
-        const Entry &top = heap.front();
-        if (!live(top)) {
-            Entry e = popTop();
-            staleSeqs.erase(e.seq);
-            if (numStale > 0)
-                --numStale;
-            continue;
-        }
-        if (top.when > until)
-            break;
+    while (!heap.empty() && heap.front().when <= until)
         runOne();
-    }
     if (curTick < until)
         curTick = until;
 }

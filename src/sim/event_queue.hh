@@ -7,26 +7,27 @@
  * one global EventQueue. Events at the same tick are delivered in
  * (priority, insertion-order) order so runs are deterministic.
  *
- * The queue is built for the per-packet hot path:
- *  - scheduling is allocation-free (a binary heap over a plain vector);
- *  - one-shot callbacks created through scheduleLambda() are drawn from
- *    a free list and recycled after firing instead of new/delete'd;
- *  - deschedule() is O(1) lazy deletion, and the heap is compacted in
- *    place once stale entries outnumber live ones, so
- *    deschedule/reschedule storms cannot grow the heap unboundedly.
+ * The queue is an indexed binary min-heap over caller-owned events:
+ *  - scheduling is allocation-free (the heap is a plain vector);
+ *  - every event records its heap slot, so deschedule() removes that
+ *    slot in O(log n) without a search. The heap holds exactly the
+ *    scheduled events, and a descheduled event is referenced nowhere,
+ *    so its owner may destroy it at once;
+ *  - the queue owns no events.
  *
- * None of this can change delivery order: the (when, priority, seq)
- * comparator is a strict total order (seq is unique), so any heap over
- * the same live entries pops in the same sequence.
+ * Delivery order is fixed by the (when, priority, seq) comparator, a
+ * strict total order (seq is unique and reschedule() takes a fresh
+ * one), so any heap over the same entries pops in the same sequence.
  */
 
 #ifndef NETAFFINITY_SIM_EVENT_QUEUE_HH
 #define NETAFFINITY_SIM_EVENT_QUEUE_HH
 
+#include <compare>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "src/sim/types.hh"
@@ -67,7 +68,7 @@ class Event
     virtual void process() = 0;
 
     /** @return true if currently scheduled on a queue. */
-    bool scheduled() const { return _scheduled; }
+    bool scheduled() const { return _slot != noSlot; }
 
     /** @return tick this event is scheduled for (maxTick if not). */
     Tick when() const { return _when; }
@@ -84,13 +85,14 @@ class Event
   private:
     friend class EventQueue;
 
+    static constexpr std::size_t noSlot =
+        std::numeric_limits<std::size_t>::max();
+
     std::string _name;
     int _priority;
-    bool _scheduled = false;
-    bool _queueOwned = false;   ///< created (and recycled) by the queue
-    std::uint32_t _heapRefs = 0;///< entries (live + stale) in the heap
     Tick _when = maxTick;
     std::uint64_t _seq = 0; ///< insertion order for deterministic ties
+    std::size_t _slot = noSlot; ///< heap index while scheduled
 };
 
 /** An Event that invokes a std::function when processed. */
@@ -103,16 +105,14 @@ class LambdaEvent : public Event
     void process() override;
 
   private:
-    friend class EventQueue;
     std::function<void()> fn;
 };
 
 /**
  * The global time-ordered event queue.
  *
- * Owns current simulated time. Does not own events, except those
- * scheduled through scheduleLambda(), which are recycled into an
- * internal free list after firing and freed at queue destruction.
+ * Owns current simulated time. Does not own events: the creator keeps
+ * each one alive while it is scheduled.
  */
 class EventQueue
 {
@@ -138,30 +138,13 @@ class EventQueue
     /** Deschedule (if needed) then schedule at @p when. */
     void reschedule(Event *ev, Tick when);
 
-    /**
-     * Schedule a one-shot callback; the queue owns the underlying event
-     * and recycles it after it fires.
-     *
-     * The name is stored only while TraceFlag::Event tracing is enabled
-     * — hot-path callers should avoid building per-call name strings at
-     * all (see net::Wire/net::Nic, which use pooled typed events).
-     *
-     * @return the created event (valid until it fires).
-     */
-    Event *scheduleLambda(Tick when, std::string name,
-                          std::function<void()> fn,
-                          int priority = Event::defaultPrio);
+    /** @return true if no events are pending. */
+    bool empty() const { return heap.empty(); }
 
-    /** @return true if no live events are pending. */
-    bool empty() const { return heap.size() == numStale; }
+    /** @return number of pending events. */
+    std::size_t size() const { return heap.size(); }
 
-    /** @return number of pending (live, not descheduled) events. */
-    std::size_t size() const { return heap.size() - numStale; }
-
-    /**
-     * @return raw heap slots, including stale lazily-deleted entries
-     *         (observability for compaction tests and stats).
-     */
+    /** @return heap slots in use; always equal to size(). */
     std::size_t heapEntries() const { return heap.size(); }
 
     /** @return number of events processed since construction. */
@@ -194,69 +177,38 @@ class EventQueue
     }
 
   private:
+    /**
+     * A heap slot: the event's ordering key, copied for cheap sifts.
+     * Ordered by (when, priority, seq); seq is unique, so ev never
+     * decides.
+     */
     struct Entry
     {
         Tick when;
         int priority;
         std::uint64_t seq;
         Event *ev;
+
+        friend auto operator<=>(const Entry &, const Entry &) = default;
     };
 
-    struct EntryCompare
-    {
-        // std::push_heap/pop_heap build a max-heap, so "greater"
-        // (later/lower-priority/younger) sorts away from the top —
-        // identical ordering to the std::priority_queue this replaces.
-        bool
-        operator()(const Entry &a, const Entry &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            if (a.priority != b.priority)
-                return a.priority > b.priority;
-            return a.seq > b.seq;
-        }
-    };
-
-    std::vector<Entry> heap; ///< binary heap under EntryCompare
+    std::vector<Entry> heap; ///< binary min-heap on (when, priority, seq)
     Tick curTick = 0;
     std::uint64_t nextSeq = 0;
     std::uint64_t numProcessed = 0;
-    std::size_t numStale = 0; ///< stale (descheduled) entries in heap
 
     std::uint64_t stallThreshold = 0; ///< 0 = guard disabled
     Tick stallTick = 0;               ///< tick the guard is counting at
     std::uint64_t stallCount = 0;     ///< events fired at stallTick
 
-    /**
-     * Seqs of descheduled-but-not-yet-drained heap entries. Staleness
-     * is recorded here, keyed by the entry's unique seq, so draining a
-     * stale entry never dereferences its Event pointer — the owner is
-     * free to destroy a descheduled event immediately (destructors
-     * rely on this; the queue member typically outlives the owners).
-     */
-    std::unordered_set<std::uint64_t> staleSeqs;
+    /** Store @p e in slot @p i and record the slot in its event. */
+    void place(std::size_t i, const Entry &e);
 
-    /** Free list of recycled queue-owned lambda events. */
-    std::vector<LambdaEvent *> lambdaPool;
+    /** Restore heap order after slot @p i was overwritten. */
+    void sift(std::size_t i);
 
-    /** Heap size below which compaction is never attempted. */
-    static constexpr std::size_t compactMinEntries = 64;
-
-    /** @return true if @p e still refers to a live scheduling. */
-    bool live(const Entry &e) const
-    {
-        return staleSeqs.find(e.seq) == staleSeqs.end();
-    }
-
-    /** Pop the top heap entry (caller checked non-empty). */
-    Entry popTop();
-
-    /** Drop one heap reference; recycle idle queue-owned events. */
-    void releaseRef(Event *ev);
-
-    /** Rebuild the heap without its stale entries. */
-    void compact();
+    /** Remove slot @p i, leaving its event unscheduled. */
+    void removeAt(std::size_t i);
 };
 
 } // namespace na::sim

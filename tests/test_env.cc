@@ -1,12 +1,16 @@
 /**
  * @file
- * env helper: the single implementation of NA_* knob parsing, and the
- * strict NA_CAMPAIGN_THREADS handling in Campaign::resolveThreads.
+ * env helper: the single implementation of NA_* knob and numeric-flag
+ * parsing, and the strict NA_CAMPAIGN_THREADS handling in
+ * Campaign::resolveThreads.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 #include "src/core/campaign.hh"
 #include "src/core/env.hh"
@@ -105,6 +109,54 @@ TEST(Env, IntValueErrorNamesVariableAndValue)
         const std::string msg = e.what();
         EXPECT_NE(msg.find(var), std::string::npos) << msg;
         EXPECT_NE(msg.find("4x"), std::string::npos) << msg;
+    }
+}
+
+TEST(Env, NumberParsesWholeStringForEachType)
+{
+    using core::env::number;
+    EXPECT_EQ(number<int>("--conns", "8"), 8);
+    EXPECT_EQ(number<int>("--conns", "-2"), -2);
+    EXPECT_EQ(number<std::uint32_t>("--size", "4294967295"),
+              4294967295u);
+    EXPECT_EQ(number<std::uint64_t>("--seed", "18446744073709551615"),
+              18446744073709551615ull);
+    EXPECT_DOUBLE_EQ(number<double>("--loss", "0.25"), 0.25);
+    EXPECT_DOUBLE_EQ(number<double>("--loss", "1e-3"), 1e-3);
+    EXPECT_DOUBLE_EQ(number<double>("--loss", "2"), 2.0);
+}
+
+TEST(Env, NumberThrowsOnGarbageAndRange)
+{
+    using core::env::number;
+    for (const char *bad : {"x", "", " 4", "4 ", "4x", "+4", "0x10",
+                            "2147483648", "1.5"}) {
+        EXPECT_THROW((void)number<int>("--threads", bad),
+                     std::runtime_error)
+            << "int value '" << bad << "' should not parse";
+    }
+    for (const char *bad : {"-1", "4294967296"}) {
+        EXPECT_THROW((void)number<std::uint32_t>("--size", bad),
+                     std::runtime_error)
+            << "uint32 value '" << bad << "' should not parse";
+    }
+    for (const char *bad : {"abc", "", "0.5x", " 0.5", "nan", "inf",
+                            "1e999"}) {
+        EXPECT_THROW((void)number<double>("--loss", bad),
+                     std::runtime_error)
+            << "double value '" << bad << "' should not parse";
+    }
+}
+
+TEST(Env, NumberErrorNamesFlagAndText)
+{
+    try {
+        (void)core::env::number<double>("--fault-loss", "0.1x");
+        FAIL() << "expected std::runtime_error";
+    } catch (const std::runtime_error &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("--fault-loss"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("0.1x"), std::string::npos) << msg;
     }
 }
 

@@ -6,9 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <memory>
+#include <optional>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "src/sim/event_queue.hh"
+#include "src/sim/random.hh"
 #include "src/sim/sim_object.hh"
 #include "src/sim/trace.hh"
 
@@ -149,29 +154,6 @@ TEST(EventQueue, EventCanRescheduleItself)
     EXPECT_EQ(eq.processedCount(), 5u);
 }
 
-TEST(EventQueue, LambdaEventsFireAndAreOwned)
-{
-    EventQueue eq;
-    int count = 0;
-    eq.scheduleLambda(10, "l1", [&count] { ++count; });
-    eq.scheduleLambda(20, "l2", [&count] { count += 10; });
-    eq.runUntil(100);
-    EXPECT_EQ(count, 11);
-}
-
-TEST(EventQueue, LambdaCanScheduleMoreLambdas)
-{
-    EventQueue eq;
-    int depth = 0;
-    std::function<void()> chain = [&] {
-        if (++depth < 4)
-            eq.scheduleLambda(eq.now() + 5, "chain", chain);
-    };
-    eq.scheduleLambda(5, "chain", chain);
-    eq.runUntil(1000);
-    EXPECT_EQ(depth, 4);
-}
-
 TEST(EventQueue, RunUntilStopsBeforeLaterEvents)
 {
     EventQueue eq;
@@ -274,9 +256,9 @@ TEST(EventQueue, DescheduleStormDoesNotGrowHeapUnboundedly)
         eq.schedule(&ev, when += 10);
 
     // The Nic-moderation / Processor-tick pattern: every event is
-    // repeatedly pulled forward. Lazy deletion leaves a stale entry per
-    // deschedule; compaction must keep total heap slots bounded by a
-    // small multiple of the live count rather than the churn count.
+    // repeatedly pulled forward. Each deschedule removes its heap slot,
+    // so the heap holds exactly the scheduled events, whatever the
+    // churn count.
     for (int round = 0; round < 1000; ++round) {
         for (auto &ev : evs)
             eq.deschedule(&ev);
@@ -284,7 +266,7 @@ TEST(EventQueue, DescheduleStormDoesNotGrowHeapUnboundedly)
             eq.schedule(&ev, when += 10);
     }
     EXPECT_EQ(eq.size(), evs.size());
-    EXPECT_LE(eq.heapEntries(), 4 * evs.size());
+    EXPECT_EQ(eq.heapEntries(), eq.size());
 
     // All 128 still fire, in schedule order, exactly once.
     eq.runUntil(when + 1);
@@ -302,9 +284,8 @@ TEST(EventQueue, OrderAndProcessedCountSurviveCompaction)
     for (int i = 0; i < 200; ++i)
         evs.emplace_back(log, i);
 
-    // Schedule everyone, then cancel the odd ids with enough churn on
-    // the evens to force at least one in-place compaction while the
-    // odd events' stale entries are still in the heap.
+    // Schedule everyone, cancel the odd ids, then churn the evens
+    // through many in-place reschedules.
     for (int i = 0; i < 200; ++i)
         eq.schedule(&evs[i], 10'000 + static_cast<Tick>(i));
     for (int i = 1; i < 200; i += 2)
@@ -313,6 +294,7 @@ TEST(EventQueue, OrderAndProcessedCountSurviveCompaction)
         for (int i = 0; i < 200; i += 2)
             eq.reschedule(&evs[i], 10'000 + static_cast<Tick>(i));
     EXPECT_EQ(eq.size(), 100u);
+    EXPECT_EQ(eq.heapEntries(), eq.size());
 
     eq.runUntil(20'000);
     ASSERT_EQ(log.size(), 100u);
@@ -323,26 +305,94 @@ TEST(EventQueue, OrderAndProcessedCountSurviveCompaction)
     EXPECT_EQ(eq.heapEntries(), 0u);
 }
 
-TEST(EventQueue, LambdaEventsAreRecycledThroughThePool)
+/**
+ * Differential test: random schedule/deschedule/reschedule/runOne
+ * calls against a reference ordered set of (when, priority, seq).
+ * Some events are destroyed right after deschedule, so under ASan any
+ * heap slot left pointing at a descheduled event is a use-after-free.
+ */
+TEST(EventQueue, MatchesReferenceOrderUnderRandomOps)
 {
-    EventQueue eq;
-    int fired = 0;
-    Event *first = eq.scheduleLambda(10, "a", [&fired] { ++fired; });
-    ASSERT_TRUE(eq.runOne());
-    // The fired event returns to the free list and the next
-    // scheduleLambda reuses it instead of allocating.
-    Event *second = eq.scheduleLambda(20, "b", [&fired] { ++fired; });
-    EXPECT_EQ(first, second);
-    ASSERT_TRUE(eq.runOne());
-    EXPECT_EQ(fired, 2);
+    using Key = std::tuple<Tick, int, std::uint64_t, int>;
+    constexpr int numEvents = 48;
+    constexpr int prios[] = {Event::interruptPrio, Event::defaultPrio,
+                             Event::schedulerPrio};
 
-    // Pool recycling must not break same-tick FIFO ordering among
-    // equal-priority lambdas.
-    std::vector<int> order;
-    for (int i = 0; i < 8; ++i)
-        eq.scheduleLambda(100, "seq", [&order, i] { order.push_back(i); });
-    eq.runUntil(100);
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+    // Events outlive the queue, so a failed ASSERT below unwinds
+    // without destroying a scheduled event.
+    std::vector<int> log;
+    std::vector<std::unique_ptr<Recorder>> evs(numEvents);
+    EventQueue eq;
+    Random rng(42);
+    std::vector<std::optional<Key>> keyOf(numEvents);
+    std::set<Key> ref;
+    std::uint64_t seq = 0; // mirrors the queue's insertion counter
+
+    auto put = [&](int id, Tick when) {
+        if (keyOf[id])
+            ref.erase(*keyOf[id]);
+        keyOf[id] = Key{when, evs[id]->priority(), seq++, id};
+        ref.insert(*keyOf[id]);
+    };
+    auto drop = [&](int id) {
+        if (keyOf[id])
+            ref.erase(*keyOf[id]);
+        keyOf[id].reset();
+    };
+
+    for (int step = 0; step < 20'000; ++step) {
+        const int id = static_cast<int>(rng.range(0, numEvents - 1));
+        const Tick when = eq.now() + rng.range(0, 50);
+        switch (rng.range(0, 3)) {
+          case 0: // schedule (creating the event if needed)
+            if (!evs[id])
+                evs[id] = std::make_unique<Recorder>(
+                    log, id, prios[rng.range(0, 2)]);
+            if (!evs[id]->scheduled()) {
+                eq.schedule(evs[id].get(), when);
+                put(id, when);
+            }
+            break;
+          case 1: // deschedule, sometimes destroying the event
+            if (evs[id]) {
+                eq.deschedule(evs[id].get());
+                drop(id);
+                if (rng.range(0, 1))
+                    evs[id].reset();
+            }
+            break;
+          case 2: // reschedule
+            if (evs[id]) {
+                eq.reschedule(evs[id].get(), when);
+                put(id, when);
+            }
+            break;
+          default: { // runOne
+            const bool expectRun = !ref.empty();
+            ASSERT_EQ(eq.runOne(), expectRun) << "step " << step;
+            if (expectRun) {
+                const Key top = *ref.begin();
+                ASSERT_EQ(log.back(), std::get<3>(top)) << "step " << step;
+                ASSERT_EQ(eq.now(), std::get<0>(top)) << "step " << step;
+                drop(std::get<3>(top));
+            }
+            break;
+          }
+        }
+        ASSERT_EQ(eq.size(), ref.size()) << "step " << step;
+        ASSERT_EQ(eq.heapEntries(), eq.size()) << "step " << step;
+    }
+
+    // Drain: the rest pops in reference order.
+    while (!ref.empty()) {
+        const Key top = *ref.begin();
+        ASSERT_TRUE(eq.runOne());
+        ASSERT_EQ(log.back(), std::get<3>(top));
+        drop(std::get<3>(top));
+        ASSERT_EQ(eq.heapEntries(), eq.size());
+    }
+    EXPECT_TRUE(eq.empty());
+    EXPECT_FALSE(eq.runOne());
 }
 
 TEST(Trace, FlagsGateEmission)

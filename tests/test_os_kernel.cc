@@ -11,6 +11,7 @@
 #include "src/sim/logging.hh"
 
 #include <set>
+#include <vector>
 
 using namespace na;
 using namespace na::os;
@@ -152,10 +153,11 @@ TEST_F(OsTest, BlockedTaskWokenByWaitQueue)
     EXPECT_EQ(t->state, TaskState::Blocked);
 
     // Wake from a synthetic softirq-ish context on CPU0.
-    eq.scheduleLambda(eq.now() + 1000, "wake", [this, &wq] {
+    sim::LambdaEvent wake("wake", [this, &wq] {
         ExecContext ctx(kernel, kernel.processor(0), nullptr);
         kernel.wakeUpOne(ctx, wq);
     });
+    eq.schedule(&wake, eq.now() + 1000);
     sleeper.sleepAfter = 0; // don't sleep again
     eq.runUntil(eq.now() + 5'000'000);
     EXPECT_GT(sleeper.steps, 5);
@@ -179,10 +181,11 @@ TEST_F(OsTest, CrossCpuWakeupSendsIpi)
     const double ipis0 =
         kernel.core(1).counters.ipisReceived.value();
 
-    eq.scheduleLambda(eq.now() + 100, "wake", [this, &wq] {
+    sim::LambdaEvent wake("wake", [this, &wq] {
         ExecContext ctx(kernel, kernel.processor(0), nullptr);
         kernel.wakeUpOne(ctx, wq); // waker CPU0, target CPU1
     });
+    eq.schedule(&wake, eq.now() + 100);
     sleeper.sleepAfter = 0;
     eq.runUntil(eq.now() + 5'000'000);
     EXPECT_GT(kernel.core(1).counters.ipisReceived.value(), ipis0);
@@ -354,6 +357,59 @@ TEST_F(OsTest, LoadBalancerPullsFromOverloadedCpu)
     EXPECT_GT(cpu1_steps, 0) << "balancer never moved work to CPU1";
 }
 
+TEST_F(OsTest, TimersWithOneExpiryFireInArmOrder)
+{
+    std::vector<int> order;
+    for (int i = 0; i < 5; ++i) {
+        kernel.timers().arm(0, 25'000'000, [&order, i](ExecContext &) {
+            order.push_back(i);
+        });
+    }
+    eq.runUntil(60'000'000);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST_F(OsTest, TimerCancelledByEarlierCallbackInSamePassDoesNotFire)
+{
+    TimerId later = invalidTimer;
+    bool cancelled = false;
+    bool laterFired = false;
+    kernel.timers().arm(0, 25'000'000, [&](ExecContext &) {
+        cancelled = kernel.timers().cancel(later);
+    });
+    later = kernel.timers().arm(
+        0, 25'000'000, [&laterFired](ExecContext &) { laterFired = true; });
+    eq.runUntil(60'000'000);
+    EXPECT_TRUE(cancelled);
+    EXPECT_FALSE(laterFired);
+    EXPECT_EQ(kernel.timers().pendingCount(), 0u);
+}
+
+TEST_F(OsTest, TimerArmedDueByCallbackWaitsForNextPass)
+{
+    sim::Tick firstAt = 0;
+    sim::Tick secondAt = 0;
+    kernel.timers().arm(0, 25'000'000, [&](ExecContext &ctx) {
+        firstAt = ctx.proc.dispatchStart();
+        // Already due: expiry is the current pass's own time.
+        kernel.timers().arm(0, firstAt, [&secondAt](ExecContext &ctx) {
+            secondAt = ctx.proc.dispatchStart();
+        });
+    });
+    eq.runUntil(100'000'000);
+    ASSERT_GT(firstAt, 0u);
+    EXPECT_GT(secondAt, firstAt);
+}
+
+TEST_F(OsTest, InvalidTimerIsNeverArmed)
+{
+    kernel.timers().arm(0, 25'000'000, [](ExecContext &) {});
+    EXPECT_FALSE(kernel.timers().armed(invalidTimer));
+    EXPECT_FALSE(kernel.timers().cancel(invalidTimer));
+    EXPECT_EQ(kernel.timers().pendingCount(), 1u);
+    eq.runUntil(60'000'000);
+}
+
 TEST_F(OsTest, WakePrefersIdlePreviousCpu)
 {
     WaitQueue wq;
@@ -364,10 +420,11 @@ TEST_F(OsTest, WakePrefersIdlePreviousCpu)
     eq.runUntil(5'000'000);
     sleeper.sleepAfter = 0;
     // CPU1 idle; wake from CPU0: must stay on CPU1.
-    eq.scheduleLambda(eq.now() + 10, "wake", [this, &wq] {
+    sim::LambdaEvent wake("wake", [this, &wq] {
         ExecContext ctx(kernel, kernel.processor(0), nullptr);
         kernel.wakeUpOne(ctx, wq);
     });
+    eq.schedule(&wake, eq.now() + 10);
     eq.runUntil(eq.now() + 2'000'000);
     EXPECT_EQ(sleeper.lastCpu, 1);
 }

@@ -141,15 +141,16 @@ TEST_F(ProcessorTest, EstimatedNowAdvancesWithinDispatch)
 
 TEST_F(ProcessorTest, IdleCpuWakesOnKick)
 {
-    // Nothing to do: the processor parks. A lambda kick at t wakes it.
+    // Nothing to do: the processor parks. A kick event at t wakes it.
     eq.runUntil(5'000'000);
     EXPECT_TRUE(kernel.processor(0).isIdle());
     bool ran = false;
     kernel.processor(0).setSoftirqHandler(
         Softirq::NetTx, [&ran](ExecContext &) { ran = true; });
-    eq.scheduleLambda(eq.now() + 1000, "kick", [this] {
+    sim::LambdaEvent kick("kick", [this] {
         kernel.processor(0).raiseSoftirq(Softirq::NetTx);
     });
+    eq.schedule(&kick, eq.now() + 1000);
     eq.runUntil(eq.now() + 100'000);
     EXPECT_TRUE(ran);
 }
