@@ -94,6 +94,17 @@ banner(const char *what, const char *paper_ref)
                 "===========\n");
 }
 
+/**
+ * Reject a command line for a bench whose only argument is --smoke:
+ * print the usage line to stderr and return main's exit status.
+ */
+inline int
+usage(const char *bin)
+{
+    std::fprintf(stderr, "usage: %s [--smoke]\n", bin);
+    return 1;
+}
+
 } // namespace na::bench
 
 #endif // NETAFFINITY_BENCH_BENCH_COMMON_HH

@@ -36,7 +36,6 @@
  * without any coordination channel beyond the shard files.
  */
 
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -96,21 +95,6 @@ buildSweep()
         .build();
 }
 
-int
-parseInt(const char *what, const std::string &text)
-{
-    int value = 0;
-    const char *b = text.data();
-    const char *e = b + text.size();
-    auto [p, ec] = std::from_chars(b, e, value);
-    if (ec != std::errc{} || p != e) {
-        throw std::runtime_error(sim::format(
-            "campaignctl: %s: '%s' is not an integer", what,
-            text.c_str()));
-    }
-    return value;
-}
-
 /** Parse "I/N" shard syntax. */
 void
 parseShard(const std::string &text, int &index, int &count)
@@ -120,8 +104,10 @@ parseShard(const std::string &text, int &index, int &count)
         throw std::runtime_error(sim::format(
             "campaignctl: --shard wants I/N, got '%s'", text.c_str()));
     }
-    index = parseInt("shard index", text.substr(0, slash));
-    count = parseInt("shard count", text.substr(slash + 1));
+    index = core::env::number<int>("shard index",
+                                   text.substr(0, slash).c_str());
+    count = core::env::number<int>("shard count",
+                                   text.substr(slash + 1).c_str());
 }
 
 /** Shell-quote @p s for std::system (single quotes, ' -> '\''). */
@@ -182,7 +168,8 @@ workerMain(int argc, char **argv)
         else if (arg == "--resume")
             resume = next();
         else if (arg == "--die-after")
-            die_after = parseInt("--die-after", next());
+            die_after = core::env::number<int>("--die-after",
+                                               next().c_str());
         else
             throw std::runtime_error(sim::format(
                 "campaignctl worker: unknown flag '%s'", arg.c_str()));
@@ -278,7 +265,7 @@ runMain(const std::string &argv0, int argc, char **argv)
             if (i + 1 >= argc)
                 throw std::runtime_error(
                     "campaignctl run: --shards wants a value");
-            shards = parseInt("--shards", argv[++i]);
+            shards = core::env::number<int>("--shards", argv[++i]);
         } else if (dir.empty()) {
             dir = arg;
         } else {

@@ -20,23 +20,16 @@
  *      flow-migration counters (its reordering window) that RSS
  *      structurally cannot.
  *
- * A flows/sec series is appended to a BENCH_substrate.json-style
- * tracking file (default BENCH_flows.json, or argv[1] after any
- * --smoke flag); the binary re-reads the file and exits nonzero if it
- * does not round-trip.
- *
  * --smoke (or NA_BENCH_FAST=1) shrinks the ladder and the sweep for
- * CI; the assertions are identical in both modes.
+ * CI; the assertions are identical in both modes. Stdout holds only
+ * simulated quantities, so two runs print the same bytes; host cost
+ * is perfbench's flow-churn workload.
  */
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -65,7 +58,6 @@ struct LadderPoint
     std::uint64_t completed = 0;
     double simSeconds = 0;
     double flowsPerSec = 0;
-    double wallMs = 0;
     std::uint64_t acceptDropsBacklog = 0;
     std::uint64_t deferred = 0;
 };
@@ -95,7 +87,6 @@ mixBase(int max_concurrent)
 LadderPoint
 runLadderRung(std::uint64_t total)
 {
-    const auto wall_start = std::chrono::steady_clock::now();
     core::SystemConfig cfg = mixBase(/*max_concurrent=*/1024);
     cfg.mix().totalFlows = total;
     core::System sys(cfg);
@@ -128,9 +119,6 @@ runLadderRung(std::uint64_t total)
         sys.driver().acceptDropsBacklog.value());
     p.deferred = static_cast<std::uint64_t>(
         client.deferredArrivals.value());
-    p.wallMs = std::chrono::duration<double, std::milli>(
-                   std::chrono::steady_clock::now() - wall_start)
-                   .count();
 
     const std::string tag = sim::format("ladder[%llu]",
                                         static_cast<unsigned long long>(
@@ -161,23 +149,21 @@ runLadderRung(std::uint64_t total)
 }
 
 void
-churnLadder(bool smoke, std::vector<LadderPoint> &out)
+churnLadder(bool smoke)
 {
     std::printf("\n[1] churn ladder: accept/serve/close to completion\n\n");
     const std::vector<std::uint64_t> ladder =
         smoke ? std::vector<std::uint64_t>{64, 512}
               : std::vector<std::uint64_t>{64, 1024, 8192, 65536};
-    analysis::TableWriter t({"flows", "flows/sec", "sim s", "wall ms",
+    analysis::TableWriter t({"flows", "flows/sec", "sim s",
                              "backlog drops", "deferred"});
     for (std::uint64_t total : ladder) {
         LadderPoint p = runLadderRung(total);
         t.addRow({analysis::TableWriter::integer(p.totalFlows),
                   analysis::TableWriter::num(p.flowsPerSec, 0),
                   analysis::TableWriter::num(p.simSeconds, 3),
-                  analysis::TableWriter::num(p.wallMs, 0),
                   analysis::TableWriter::integer(p.acceptDropsBacklog),
                   analysis::TableWriter::integer(p.deferred)});
-        out.push_back(p);
     }
     t.print(std::cout);
     std::printf("Every rung drained to zero live connections with "
@@ -254,48 +240,6 @@ steeringSweep(bool smoke)
                 "reorder) anything.\n");
 }
 
-/** BENCH_substrate.json-style tracking file with a flows/sec series. */
-bool
-writeTracking(const std::string &path,
-              const std::vector<LadderPoint> &ladder)
-{
-    std::ostringstream json;
-    json << "{\n  \"schema_version\": 1,\n";
-    json << "  \"flows_per_sec\": [";
-    for (std::size_t i = 0; i < ladder.size(); ++i) {
-        json << (i ? ",\n                    " : "")
-             << "{\"flows\": " << ladder[i].totalFlows
-             << ", \"flows_per_sec\": "
-             << static_cast<std::uint64_t>(ladder[i].flowsPerSec)
-             << ", \"sim_seconds\": " << ladder[i].simSeconds
-             << ", \"wall_ms\": "
-             << static_cast<std::uint64_t>(ladder[i].wallMs) << "}";
-    }
-    json << "]\n}\n";
-
-    {
-        std::ofstream out(path, std::ios::trunc);
-        if (!out)
-            return false;
-        out << json.str();
-        if (!out.good())
-            return false;
-    }
-    // Round-trip check: the file must exist, be non-empty, and carry
-    // the version marker — malformed tracking output fails the test.
-    std::ifstream in(path);
-    std::ostringstream back;
-    back << in.rdbuf();
-    const std::string payload = back.str();
-    if (payload.empty() ||
-        payload.find("\"schema_version\": 1") == std::string::npos ||
-        payload.find("\"flows_per_sec\"") == std::string::npos) {
-        return false;
-    }
-    std::printf("\nflows/sec series written to %s\n", path.c_str());
-    return true;
-}
-
 } // namespace
 
 int
@@ -303,12 +247,10 @@ main(int argc, char **argv)
 {
     sim::setQuiet(true);
     bool smoke = core::env::flag("NA_BENCH_FAST");
-    std::string out_path = "BENCH_flows.json";
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0)
-            smoke = true;
-        else
-            out_path = argv[i];
+        if (std::strcmp(argv[i], "--smoke") != 0)
+            return bench::usage(argv[0]);
+        smoke = true;
     }
 
     bench::banner("Many-flow churn through the connection layer",
@@ -316,15 +258,8 @@ main(int argc, char **argv)
     if (smoke)
         std::printf("(smoke mode: shrunk ladder and sweep)\n");
 
-    std::vector<LadderPoint> ladder;
-    churnLadder(smoke, ladder);
+    churnLadder(smoke);
     steeringSweep(smoke);
-
-    if (!writeTracking(out_path, ladder)) {
-        std::printf("FAIL: tracking file %s did not round-trip\n",
-                    out_path.c_str());
-        ++failures;
-    }
 
     if (failures) {
         std::printf("\n%d check(s) FAILED\n", failures);

@@ -29,10 +29,6 @@
  *      Director with and without migrations, resolving where the
  *      recovery work lands.
  *
- * A spurious-retransmit series is appended to a tracking file (default
- * BENCH_reorder.json, or argv[1] after any --smoke flag); the binary
- * re-reads the file and exits nonzero if it does not round-trip.
- *
  * --smoke (or NA_BENCH_FAST=1) shrinks the ladder and the sweep for
  * CI; the assertions are identical in both modes.
  */
@@ -40,11 +36,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -192,7 +185,7 @@ runRung(std::uint64_t total, sim::Tick hop_ticks)
     return r;
 }
 
-std::vector<Rung>
+void
 migrationLadder(bool smoke)
 {
     std::printf("\n[1] migration ladder under Flow Director\n\n");
@@ -268,7 +261,6 @@ migrationLadder(bool smoke)
                 "race across queues, the receiver dup-ACKs the gap, "
                 "and the sender retransmits data that was merely "
                 "late — goodput erodes as the hop rate climbs.\n");
-    return rungs;
 }
 
 /** Policy x hop sweep through the campaign engine. */
@@ -447,47 +439,6 @@ costBreakdown(bool smoke)
                 "or the driver.\n");
 }
 
-/** BENCH_substrate.json-style tracking file: spurious-rtx series. */
-bool
-writeTracking(const std::string &path, const std::vector<Rung> &rungs)
-{
-    std::ostringstream json;
-    json << "{\n  \"schema_version\": 1,\n";
-    json << "  \"spurious_retransmits\": [";
-    for (std::size_t i = 0; i < rungs.size(); ++i) {
-        json << (i ? ",\n                            " : "")
-             << "{\"hop_ticks\": " << rungs[i].hopTicks
-             << ", \"hops_per_sec\": "
-             << static_cast<std::uint64_t>(rungs[i].hopsPerSec)
-             << ", \"goodput_mbps\": "
-             << static_cast<std::uint64_t>(rungs[i].goodputMbps)
-             << ", \"ooo_arrivals\": " << rungs[i].oooArrivals
-             << ", \"spurious\": " << rungs[i].spurious << "}";
-    }
-    json << "]\n}\n";
-
-    {
-        std::ofstream out(path, std::ios::trunc);
-        if (!out)
-            return false;
-        out << json.str();
-        if (!out.good())
-            return false;
-    }
-    std::ifstream in(path);
-    std::ostringstream back;
-    back << in.rdbuf();
-    const std::string payload = back.str();
-    if (payload.empty() ||
-        payload.find("\"schema_version\": 1") == std::string::npos ||
-        payload.find("\"spurious_retransmits\"") == std::string::npos) {
-        return false;
-    }
-    std::printf("\nspurious-retransmit series written to %s\n",
-                path.c_str());
-    return true;
-}
-
 } // namespace
 
 int
@@ -495,12 +446,10 @@ main(int argc, char **argv)
 {
     sim::setQuiet(true);
     bool smoke = core::env::flag("NA_BENCH_FAST");
-    std::string out_path = "BENCH_reorder.json";
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0)
-            smoke = true;
-        else
-            out_path = argv[i];
+        if (std::strcmp(argv[i], "--smoke") != 0)
+            return bench::usage(argv[0]);
+        smoke = true;
     }
 
     bench::banner("Flow Director reordering under forced migrations",
@@ -508,15 +457,9 @@ main(int argc, char **argv)
     if (smoke)
         std::printf("(smoke mode: shrunk ladder and sweep)\n");
 
-    const std::vector<Rung> rungs = migrationLadder(smoke);
+    migrationLadder(smoke);
     steeringSweep(smoke);
     costBreakdown(smoke);
-
-    if (!writeTracking(out_path, rungs)) {
-        std::printf("FAIL: tracking file %s did not round-trip\n",
-                    out_path.c_str());
-        ++failures;
-    }
 
     if (failures) {
         std::printf("\n%d check(s) FAILED\n", failures);

@@ -214,8 +214,8 @@ BENCHMARK(BM_RandomNext);
 /**
  * One complete (small) campaign point per iteration: System build,
  * warmup, measurement, extraction. The end-to-end number the paper
- * sweeps are made of; simulated-seconds-per-wall-second is derived
- * from it in substrate_perf.
+ * sweeps are made of; perfbench's sim_ms_per_host_s measures the same
+ * rate over whole workloads.
  */
 void
 BM_CampaignPoint(benchmark::State &state)

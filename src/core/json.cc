@@ -33,28 +33,16 @@ Value::num(const std::string &name) const
     return v.number;
 }
 
-std::uint64_t
-Value::u64(const std::string &name) const
+void
+badInteger(const std::string &what, const Value &v,
+           const std::string &min, const std::string &max)
 {
-    const Value &v = field(name);
-    if (v.kind != Kind::Number)
-        throw std::runtime_error("json: field '" + name +
+    if (v.kind != Value::Kind::Number)
+        throw std::runtime_error("json: field '" + what +
                                  "' is not a number");
-    return v.asU64();
-}
-
-std::uint64_t
-Value::asU64() const
-{
-    if (!text.empty() &&
-        text.find_first_not_of("0123456789") == std::string::npos) {
-        std::uint64_t out = 0;
-        const auto [ptr, ec] =
-            std::from_chars(text.data(), text.data() + text.size(), out);
-        if (ec == std::errc() && ptr == text.data() + text.size())
-            return out;
-    }
-    return static_cast<std::uint64_t>(number);
+    throw std::runtime_error("json: field '" + what + "' = " + v.text +
+                             " is not an integer in [" + min + ", " +
+                             max + "]");
 }
 
 const std::string &

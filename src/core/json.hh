@@ -13,9 +13,13 @@
 #ifndef NETAFFINITY_CORE_JSON_HH
 #define NETAFFINITY_CORE_JSON_HH
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace na::core::json {
@@ -53,15 +57,61 @@ struct Value
     const std::string &str(const std::string &name) const;
 
     /**
-     * @return unsigned field @p name, re-parsed from the raw token:
-     *         doubles hold only 53 mantissa bits, not enough for
-     *         64-bit seeds and counters.
+     * @return this number as the integer type T: the raw token when
+     *         std::from_chars reads all of it as a T (doubles hold
+     *         only 53 mantissa bits, not enough for 64-bit seeds and
+     *         counters), else the parsed double when it is finite,
+     *         integral and inside T's range ("1e3", "2.0").
+     * @throws std::runtime_error naming @p what (the field) and the
+     *         token for anything else ("2.7", "-1" as an unsigned,
+     *         "1e300" as an int), or when this is not a number.
      */
-    std::uint64_t u64(const std::string &name) const;
+    template <typename T> T as(const std::string &what) const;
 
-    /** This value's own 64-bit unsigned interpretation. */
-    std::uint64_t asU64() const;
+    /** @return integer field @p name as a T, checked by as(). */
+    template <typename T>
+    T
+    integer(const std::string &name) const
+    {
+        return field(name).as<T>(name);
+    }
+
+    /** @return unsigned 64-bit field @p name, checked by as(). */
+    std::uint64_t
+    u64(const std::string &name) const
+    {
+        return integer<std::uint64_t>(name);
+    }
 };
+
+/** Throw Value::as()'s error: names @p what, @p v's token and the range. */
+[[noreturn]] void badInteger(const std::string &what, const Value &v,
+                             const std::string &min,
+                             const std::string &max);
+
+template <typename T>
+T
+Value::as(const std::string &what) const
+{
+    static_assert(std::is_integral_v<T>);
+    using Limits = std::numeric_limits<T>;
+    if (kind == Kind::Number) {
+        T out{};
+        const char *end = text.data() + text.size();
+        const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+        if (ec == std::errc() && ptr == end)
+            return out;
+        // Both bounds are exact doubles: min() is 0 or -2^digits, and
+        // the upper bound 2^digits is max() + 1.
+        if (std::isfinite(number) && std::trunc(number) == number &&
+            number >= static_cast<double>(Limits::min()) &&
+            number < std::ldexp(1.0, Limits::digits)) {
+            return static_cast<T>(number);
+        }
+    }
+    badInteger(what, *this, std::to_string(Limits::min()),
+               std::to_string(Limits::max()));
+}
 
 /**
  * Deepest container nesting parse() accepts. The parser recurses once

@@ -76,8 +76,8 @@ readIntervals(const Value &iv)
 {
     prof::IntervalSeries s;
     s.intervalTicks = iv.u64("interval_ticks");
-    s.numCpus = static_cast<int>(iv.num("num_cpus"));
-    s.numQueues = static_cast<int>(iv.num("num_queues"));
+    s.numCpus = iv.integer<int>("num_cpus");
+    s.numQueues = iv.integer<int>("num_queues");
     const Value &windows = iv.field("windows");
     if (!windows.isArray())
         throw std::runtime_error(
@@ -87,9 +87,10 @@ readIntervals(const Value &iv)
         w.start = wv.u64("start");
         w.end = wv.u64("end");
         for (const Value &qv : wv.field("rx_frames_per_queue").items)
-            w.rxFramesPerQueue.push_back(qv.asU64());
+            w.rxFramesPerQueue.push_back(
+                qv.as<std::uint64_t>("rx_frames_per_queue"));
         for (const Value &dv : wv.field("deltas").items)
-            w.binDeltas.push_back(dv.asU64());
+            w.binDeltas.push_back(dv.as<std::uint64_t>("deltas"));
         s.windows.push_back(std::move(w));
     }
     return s;
@@ -184,7 +185,8 @@ readReorder(const Value &rv)
             "results json: reorder 'ooo_depth_hist' is not a list");
     for (std::size_t b = 0;
          b < hist.items.size() && b < ro.oooDepthHist.size(); ++b)
-        ro.oooDepthHist[b] = hist.items[b].asU64();
+        ro.oooDepthHist[b] =
+            hist.items[b].as<std::uint64_t>("ooo_depth_hist");
     ro.dupAckBursts = rv.u64("dup_ack_bursts");
     ro.retransmits = rv.u64("retransmits");
     ro.spuriousRetransmits = rv.u64("spurious_retransmits");
@@ -346,13 +348,13 @@ parsePointRecord(const Value &pv)
         rec.workload = cfg.str("workload");
     if (rec.workload == "ttcp")
         rec.mode = parseModeToken(cfg.str("mode"));
-    rec.msgSize = static_cast<std::uint32_t>(cfg.num("msg_size"));
+    rec.msgSize = cfg.integer<std::uint32_t>("msg_size");
     rec.affinity = parseAffinityToken(cfg.str("affinity"));
-    rec.connections = static_cast<int>(cfg.num("connections"));
-    rec.cpus = static_cast<int>(cfg.num("cpus"));
+    rec.connections = cfg.integer<int>("connections");
+    rec.cpus = cfg.integer<int>("cpus");
     rec.seed = cfg.u64("seed");
     rec.steering = cfg.str("steering");
-    rec.queues = static_cast<int>(cfg.num("queues"));
+    rec.queues = cfg.integer<int>("queues");
     if (cfg.has("faults"))
         rec.faults = cfg.str("faults");
     rec.result.steeringPolicy = rec.steering;
@@ -379,15 +381,15 @@ parsePointRecord(const Value &pv)
         rec.result.rxDropsRingFull = res.u64("rx_drops_ring_full");
     const Value &per_queue = res.field("rx_frames_per_queue");
     for (const Value &qv : per_queue.items)
-        rec.result.rxFramesPerQueue.push_back(qv.asU64());
+        rec.result.rxFramesPerQueue.push_back(
+            qv.as<std::uint64_t>("rx_frames_per_queue"));
     if (res.has("failure")) {
         const Value &fv = res.field("failure");
         rec.result.failed = true;
         rec.result.failure.reason = fv.str("reason");
         rec.result.failure.configSummary = fv.str("config_summary");
         rec.result.failure.ticksReached = fv.u64("ticks_reached");
-        rec.result.failure.attempts =
-            static_cast<int>(fv.num("attempts"));
+        rec.result.failure.attempts = fv.integer<int>("attempts");
     }
     if (res.has("flows"))
         rec.result.flows = readFlows(res.field("flows"));
@@ -400,7 +402,8 @@ parsePointRecord(const Value &pv)
         const auto ev = static_cast<prof::Event>(e);
         auto it = events.fields.find(std::string(prof::eventName(ev)));
         if (it != events.fields.end())
-            rec.result.eventTotals[e] = it->second.asU64();
+            rec.result.eventTotals[e] =
+                it->second.as<std::uint64_t>(it->first);
     }
     return rec;
 }
@@ -442,7 +445,7 @@ readResultsJson(std::istream &is)
     const Value root = json::parse(buf.str());
     if (!root.isObject())
         throw std::runtime_error("results json: root is not an object");
-    const int version = static_cast<int>(root.num("schema_version"));
+    const int version = root.integer<int>("schema_version");
     // Each version is the previous plus optional/additive fields
     // (v3: intervals; v4: faults token, ring-full drops, failure
     // block; v5: workload token and the optional "flows" block;
@@ -454,7 +457,7 @@ readResultsJson(std::istream &is)
 
     JsonCampaign campaign;
     campaign.campaignSeed = root.u64("campaign_seed");
-    campaign.threads = static_cast<int>(root.num("threads"));
+    campaign.threads = root.integer<int>("threads");
 
     const Value &points = root.field("points");
     if (!points.isArray())

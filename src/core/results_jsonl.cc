@@ -30,15 +30,15 @@ parseLine(const std::string &line, std::size_t line_no)
             line_no));
     }
     JsonlRecord rec;
-    rec.schemaVersion = static_cast<int>(v.num("schema"));
-    if (rec.schemaVersion < 2 ||
-        rec.schemaVersion > resultsSchemaVersion) {
-        throw std::runtime_error(sim::format(
-            "results jsonl line %zu: unsupported schema token %d "
-            "(this reader understands 2 through %d)",
-            line_no, rec.schemaVersion, resultsSchemaVersion));
-    }
     try {
+        rec.schemaVersion = v.integer<int>("schema");
+        if (rec.schemaVersion < 2 ||
+            rec.schemaVersion > resultsSchemaVersion) {
+            throw std::runtime_error(sim::format(
+                "unsupported schema token %d (this reader understands "
+                "2 through %d)",
+                rec.schemaVersion, resultsSchemaVersion));
+        }
         rec.key = parsePointKey(v.str("point_key"));
         rec.rec = detail::parsePointRecord(v);
     } catch (const std::exception &e) {

@@ -230,6 +230,87 @@ TEST(ResultsJsonl, UnsupportedSchemaTokenIsAStructuredError)
     }
 }
 
+/** @return @p text with field @p name's scalar token replaced by @p value. */
+std::string
+withField(std::string text, const std::string &name,
+          const std::string &value)
+{
+    const std::string tag = "\"" + name + "\": ";
+    const std::size_t at = text.find(tag);
+    EXPECT_NE(at, std::string::npos) << name;
+    const std::size_t start = at + tag.size();
+    return text.replace(start, text.find_first_of(",}", start) - start,
+                        value);
+}
+
+TEST(ResultsJsonl, IntegerFieldsAreRangeChecked)
+{
+    struct Case
+    {
+        const char *field;
+        const char *value;
+        bool ok;
+    };
+    const Case cases[] = {
+        {"cpus", "1e300", false},
+        {"msg_size", "-1", false},
+        {"msg_size", "4294967296", false},
+        {"connections", "3000000000", false},
+        {"irqs", "-5", false},
+        {"cpus", "2.7", false},
+        {"schema", "6.5", false},
+        {"rx_frames_per_queue", "[1.5]", false},
+        {"cpus", "2.0", true},
+        {"seed", "9007199254740993", true}, // 2^53 + 1
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(std::string(c.field) + " = " + c.value);
+        const bool schema = std::string(c.field) == "schema";
+        const std::string body =
+            schema ? recordBody : withField(recordBody, c.field, c.value);
+        std::istringstream jsonl(withField(
+            "{\"schema\": 6, \"point_key\": \"0000000000000001\", " +
+                body + "}\n",
+            "schema", schema ? c.value : "6"));
+        std::istringstream doc(
+            "{\"schema_version\": 6, \"campaign_seed\": 1, "
+            "\"threads\": 1, \"points\": [{" +
+            body + "}]}\n");
+        if (c.ok) {
+            const core::JsonlFile file = core::readResultsJsonl(jsonl);
+            ASSERT_EQ(file.records.size(), 1u);
+            const core::JsonCampaign campaign = core::readResultsJson(doc);
+            ASSERT_EQ(campaign.points.size(), 1u);
+            for (const core::JsonRunRecord &rec :
+                 {file.records[0].rec, campaign.points[0]}) {
+                EXPECT_EQ(rec.cpus, 2);
+                EXPECT_EQ(rec.seed, std::string(c.field) == "seed"
+                                        ? 9007199254740993ull
+                                        : 99ull);
+            }
+            continue;
+        }
+        try {
+            (void)core::readResultsJsonl(jsonl);
+            ADD_FAILURE() << "jsonl: expected std::runtime_error";
+        } catch (const std::runtime_error &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find("line 1"), std::string::npos) << msg;
+            EXPECT_NE(msg.find(std::string("'") + c.field + "'"),
+                      std::string::npos)
+                << msg;
+            std::string token = c.value; // "[1.5]" names 1.5
+            if (token.front() == '[')
+                token = token.substr(1, token.size() - 2);
+            EXPECT_NE(msg.find(token), std::string::npos) << msg;
+        }
+        if (!schema) {
+            EXPECT_THROW((void)core::readResultsJson(doc),
+                         std::runtime_error);
+        }
+    }
+}
+
 TEST(ResultsJsonl, MissingFileThrowsInsteadOfLookingEmpty)
 {
     EXPECT_THROW(
