@@ -29,6 +29,47 @@ SystemConfig::validate() const
             "(per-CPU result arrays and affinity masks cap the model)",
             maxModelCpus, platform.numCpus));
     }
+    // Geometry the cache and TLB models would otherwise reject with a
+    // process exit (or, for TLBs, an empty-list eviction).
+    const mem::CacheGeometry &geom = platform.cacheGeometry;
+    if (geom.lineBytes < 2 || (geom.lineBytes & (geom.lineBytes - 1)) != 0) {
+        throw std::runtime_error(sim::format(
+            "SystemConfig: platform.cacheGeometry.lineBytes must be a "
+            "power of two >= 2, got %u",
+            geom.lineBytes));
+    }
+    const struct
+    {
+        const char *level;
+        std::uint64_t size;
+        unsigned assoc;
+    } levels[] = {{"l1", geom.l1Size, geom.l1Assoc},
+                  {"l2", geom.l2Size, geom.l2Assoc},
+                  {"l3", geom.l3Size, geom.l3Assoc}};
+    for (const auto &l : levels) {
+        const std::uint64_t way_bytes =
+            static_cast<std::uint64_t>(l.assoc) * geom.lineBytes;
+        if (l.assoc < 1 || l.size % way_bytes != 0) {
+            throw std::runtime_error(sim::format(
+                "SystemConfig: platform.cacheGeometry.%sSize = %llu must "
+                "be a nonzero multiple of %sAssoc x lineBytes = %u x %u",
+                l.level, static_cast<unsigned long long>(l.size), l.level,
+                l.assoc, geom.lineBytes));
+        }
+        const std::uint64_t sets = l.size / way_bytes;
+        if (sets == 0 || (sets & (sets - 1)) != 0) {
+            throw std::runtime_error(sim::format(
+                "SystemConfig: platform.cacheGeometry.%sSize / (%sAssoc x "
+                "lineBytes) = %llu sets must be a power of two (the set "
+                "index is masked)",
+                l.level, l.level, static_cast<unsigned long long>(sets)));
+        }
+    }
+    if (platform.itlbEntries < 1 || platform.dtlbEntries < 1) {
+        throw std::runtime_error(sim::format(
+            "SystemConfig: platform.%s must be >= 1, got 0",
+            platform.itlbEntries < 1 ? "itlbEntries" : "dtlbEntries"));
+    }
     if (!(wireBitsPerSec > 0.0)) {
         throw std::runtime_error(sim::format(
             "SystemConfig: wireBitsPerSec must be positive, got %g "

@@ -29,9 +29,12 @@ Cache::Cache(stats::Group *parent, const std::string &name,
                          "lines invalidated by remote writes"),
       lineSize(line_bytes), assoc(assoc_ways)
 {
-    if (!isPow2(line_bytes))
-        sim::fatal("cache line size %u not a power of two", line_bytes);
-    if (size_bytes % (static_cast<std::uint64_t>(assoc_ways) * line_bytes))
+    // Bit 0 of a line address must be free for the valid-tag encoding.
+    if (!isPow2(line_bytes) || line_bytes < 2)
+        sim::fatal("cache line size %u not a power of two >= 2",
+                   line_bytes);
+    if (assoc_ways == 0 ||
+        size_bytes % (static_cast<std::uint64_t>(assoc_ways) * line_bytes))
         sim::fatal("cache size %llu not divisible by assoc*line",
                    (unsigned long long)size_bytes);
     numSets = static_cast<unsigned>(
@@ -42,104 +45,53 @@ Cache::Cache(stats::Group *parent, const std::string &name,
         std::countr_zero(static_cast<std::uint64_t>(line_bytes)));
     setMask = numSets - 1;
     lines.resize(static_cast<std::size_t>(numSets) * assoc);
-
-    // Filter sized to 2x the line count keeps bucket collisions (and
-    // thus false-positive walks) rare.
-    std::uint64_t cap = 1;
-    while (cap < static_cast<std::uint64_t>(numSets) * assoc * 2)
-        cap <<= 1;
-    presence.assign(static_cast<std::size_t>(cap), 0);
-    presenceShift = 64 - static_cast<unsigned>(std::countr_zero(cap));
 }
 
+Cache::Victim
+Cache::fill(sim::Addr addr, LineState state)
+{
+    // Invalid ways have lru 0 and valid stamps start at 1, so a strict
+    // min-scan picks the first Invalid way, else the LRU way.
+    Line *set = setOf(addr);
+    Line *target = set;
+    for (unsigned w = 1; w < assoc; ++w)
+        target = set[w].lru < target->lru ? &set[w] : target;
+
+    Victim victim;
+    victim.valid = target->tag != 0;
+    victim.lineAddr = target->tag & ~sim::Addr{1};
+    victim.dirty = target->state == LineState::Modified;
+    evictions += victim.valid;
+    writebacks += victim.dirty;
+    target->tag = lineAddr(addr) | 1;
+    target->state = state;
+    target->lru = ++lruCounter;
+    return victim;
+}
 
 Cache::Victim
 Cache::insert(sim::Addr addr, LineState state)
 {
-    Victim victim;
-    const sim::Addr la = lineAddr(addr);
-
-    if (Line *existing = findLine(addr)) {
-        // Upgrade in place; never downgrade Modified to Shared here.
-        if (state == LineState::Modified)
-            existing->state = LineState::Modified;
-        existing->lru = ++lruCounter;
-        return victim;
+    // Upgrade in place; never downgrade Modified to Shared here.
+    if (Line *line = findLine(addr)) {
+        touch(*line, state);
+        return {};
     }
-
-    Line *set = &lines[static_cast<std::size_t>(setIndex(addr)) * assoc];
-    Line *target = nullptr;
-    for (unsigned w = 0; w < assoc; ++w) {
-        if (set[w].state == LineState::Invalid) {
-            target = &set[w];
-            break;
-        }
-    }
-    if (!target) {
-        target = &set[0];
-        for (unsigned w = 1; w < assoc; ++w) {
-            if (set[w].lru < target->lru)
-                target = &set[w];
-        }
-        victim.valid = true;
-        victim.lineAddr = target->tag;
-        victim.dirty = target->state == LineState::Modified;
-        ++evictions;
-        if (victim.dirty)
-            ++writebacks;
-        --presence[presenceIdx(victim.lineAddr)];
-    }
-    ++presence[presenceIdx(la)];
-    target->tag = la;
-    target->state = state;
-    target->lru = ++lruCounter;
-    mru = target;
-    return victim;
+    return fill(addr, state);
 }
 
 Cache::FindOrInsertResult
 Cache::findOrInsert(sim::Addr addr, LineState state)
 {
     FindOrInsertResult res;
-    const sim::Addr la = lineAddr(addr);
-
     if (Line *line = findLine(addr)) {
         res.prev = line->state;
         ++hits;
-        if (state == LineState::Modified)
-            line->state = LineState::Modified;
-        line->lru = ++lruCounter;
+        touch(*line, state);
         return res;
     }
-
     ++misses;
-    Line *set = &lines[static_cast<std::size_t>(setIndex(addr)) * assoc];
-    Line *target = nullptr;
-    for (unsigned w = 0; w < assoc; ++w) {
-        if (set[w].state == LineState::Invalid) {
-            target = &set[w];
-            break;
-        }
-    }
-    if (!target) {
-        target = &set[0];
-        for (unsigned w = 1; w < assoc; ++w) {
-            if (set[w].lru < target->lru)
-                target = &set[w];
-        }
-        res.victim.valid = true;
-        res.victim.lineAddr = target->tag;
-        res.victim.dirty = target->state == LineState::Modified;
-        ++evictions;
-        if (res.victim.dirty)
-            ++writebacks;
-        --presence[presenceIdx(res.victim.lineAddr)];
-    }
-    ++presence[presenceIdx(la)];
-    target->tag = la;
-    target->state = state;
-    target->lru = ++lruCounter;
-    mru = target;
+    res.victim = fill(addr, state);
     return res;
 }
 
@@ -156,20 +108,15 @@ Cache::setModified(sim::Addr addr)
 void
 Cache::flushAll()
 {
-    for (Line &line : lines)
-        line.state = LineState::Invalid;
-    std::fill(presence.begin(), presence.end(), 0);
+    std::fill(lines.begin(), lines.end(), Line{});
 }
 
 std::uint64_t
 Cache::validLines() const
 {
-    std::uint64_t n = 0;
-    for (const Line &line : lines) {
-        if (line.state != LineState::Invalid)
-            ++n;
-    }
-    return n;
+    return static_cast<std::uint64_t>(
+        std::count_if(lines.begin(), lines.end(),
+                      [](const Line &line) { return line.tag != 0; }));
 }
 
 } // namespace na::mem

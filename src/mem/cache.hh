@@ -134,6 +134,14 @@ class Cache : public stats::Group
     /** @} */
 
   private:
+    /** CacheHierarchy fills lines it knows are absent via fill(). */
+    friend class CacheHierarchy;
+
+    /**
+     * One way. An Invalid way is all-zero: tag 0 and lru 0. A valid way
+     * stores `lineAddr | 1` (line addresses are aligned, so bit 0 is
+     * free and address 0 stays representable) and an lru stamp >= 1.
+     */
     struct Line
     {
         sim::Addr tag = 0;
@@ -149,69 +157,56 @@ class Cache : public stats::Group
     std::uint64_t lruCounter = 0;
     std::vector<Line> lines; ///< numSets * assoc, set-major
 
-    /**
-     * Most-recently-found line, a single-entry memo in front of the set
-     * walk. Self-validating: tags are full line addresses, so a tag
-     * match on a valid line is exactly what the walk would return, and
-     * no invalidation hook is needed. `lines` never reallocates after
-     * construction, so the pointer stays valid.
-     */
-    Line *mru = nullptr;
-
-    /**
-     * Exact counting presence filter: valid lines per hash bucket. A
-     * zero count proves the line is absent, turning the dominant
-     * absent-line snoop/invalidate probes into a single load instead of
-     * a set walk. Never produces false negatives (every Invalid<->valid
-     * transition updates it), so a nonzero count just falls back to the
-     * walk and behavior is unchanged.
-     */
-    std::vector<std::uint16_t> presence;
-    unsigned presenceShift = 0; ///< 64 - log2(presence.size())
-
-    std::size_t
-    presenceIdx(sim::Addr line_addr) const
-    {
-        return static_cast<std::size_t>(
-            ((line_addr >> lineShift) * 0x9e3779b97f4a7c15ULL) >>
-            presenceShift);
-    }
-
     sim::Addr lineAddr(sim::Addr addr) const
     {
         return addr >> lineShift << lineShift;
     }
 
-    unsigned setIndex(sim::Addr addr) const
+    /** @return the first way of @p addr's set. */
+    Line *setOf(sim::Addr addr)
     {
-        return static_cast<unsigned>(addr >> lineShift) & setMask;
+        const unsigned set =
+            static_cast<unsigned>(addr >> lineShift) & setMask;
+        return &lines[static_cast<std::size_t>(set) * assoc];
     }
 
     Line *findLine(sim::Addr addr);
     const Line *findLine(sim::Addr addr) const;
+
+    /** Bump @p line to MRU; upgrade to Modified iff @p state is. */
+    void
+    touch(Line &line, LineState state)
+    {
+        if (state == LineState::Modified)
+            line.state = LineState::Modified;
+        line.lru = ++lruCounter;
+    }
+
+    /**
+     * Install an absent line in @p state over the set's victim: the
+     * first Invalid way, else the LRU way (counting the eviction and
+     * any writeback).
+     * @return the displaced line, if any.
+     */
+    Victim fill(sim::Addr addr, LineState state);
 };
 
 // The short hot-path methods live in the header so callers in other
-// translation units (CacheHierarchy in particular) can inline them;
-// profiling shows the call overhead alone dominates once the walks are
-// memoized/filtered away.
+// translation units (CacheHierarchy in particular) can inline them.
 
+/**
+ * Compares every way with no early exit, so the walk costs the same
+ * whether or where the line hits and has no data-dependent branch.
+ */
 inline Cache::Line *
 Cache::findLine(sim::Addr addr)
 {
-    const sim::Addr la = lineAddr(addr);
-    if (mru && mru->tag == la && mru->state != LineState::Invalid)
-        return mru;
-    if (presence[presenceIdx(la)] == 0)
-        return nullptr;
-    Line *set = &lines[static_cast<std::size_t>(setIndex(addr)) * assoc];
-    for (unsigned w = 0; w < assoc; ++w) {
-        if (set[w].state != LineState::Invalid && set[w].tag == la) {
-            mru = &set[w];
-            return mru;
-        }
-    }
-    return nullptr;
+    const sim::Addr key = lineAddr(addr) | 1;
+    Line *set = setOf(addr);
+    Line *hit = nullptr;
+    for (unsigned w = 0; w < assoc; ++w)
+        hit = set[w].tag == key ? &set[w] : hit;
+    return hit;
 }
 
 inline const Cache::Line *
@@ -247,8 +242,7 @@ Cache::invalidate(sim::Addr addr)
     if (!line)
         return LineState::Invalid;
     const LineState prev = line->state;
-    line->state = LineState::Invalid;
-    --presence[presenceIdx(lineAddr(addr))];
+    *line = Line{};
     ++snoopInvalidations;
     return prev;
 }

@@ -1,5 +1,6 @@
 #include "src/mem/hierarchy.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/sim/logging.hh"
@@ -24,28 +25,21 @@ CacheHierarchy::CacheHierarchy(stats::Group *parent,
 }
 
 void
-CacheHierarchy::fillLine(sim::Addr line_addr, LineState state)
-{
-    // Inclusive fill: install at every level; L3 victims back-invalidate
-    // the inner levels to preserve inclusion.
-    Cache::Victim v3 = l3.insert(line_addr, state);
-    if (v3.valid) {
-        l2.invalidate(v3.lineAddr);
-        l1.invalidate(v3.lineAddr);
-    }
-    Cache::Victim v2 = l2.insert(line_addr, state);
-    if (v2.valid)
-        l1.invalidate(v2.lineAddr);
-    l1.insert(line_addr, state);
-}
-
-void
 CacheHierarchy::fillInner(sim::Addr line_addr, LineState state)
 {
-    Cache::Victim v2 = l2.insert(line_addr, state);
+    const Cache::Victim v2 = l2.fill(line_addr, state);
     if (v2.valid)
         l1.invalidate(v2.lineAddr);
-    l1.insert(line_addr, state);
+    l1.fill(line_addr, state);
+}
+
+LineState
+CacheHierarchy::invalidateInner(sim::Addr line_addr)
+{
+    const LineState p2 = l2.invalidate(line_addr);
+    if (p2 == LineState::Invalid)
+        return p2;
+    return std::max(p2, l1.invalidate(line_addr));
 }
 
 void
@@ -119,10 +113,20 @@ CacheHierarchy::access(sim::Addr addr, std::uint32_t bytes, bool write,
             stall += timing.l2HitCycles * overlap;
             if (write && s2 == LineState::Shared) {
                 domain.snoopWrite(cpu, la, res.stolenFrom);
+                l2.setModified(la);
                 ++res.upgrades;
                 stall += timing.upgradeCycles;
             }
-            fillLine(la, write ? LineState::Modified : s2);
+            // Inclusion: L3 holds the line and L1 does not. The lookup
+            // above already made it L2's MRU line, and one touch makes
+            // it L3's; only relative LRU order is observable.
+            const LineState s = write ? LineState::Modified : s2;
+            Cache::Line *line3 = l3.findLine(la);
+            if (!line3)
+                sim::panic("L2 hit on line %llx absent from L3",
+                           (unsigned long long)la);
+            l3.touch(*line3, s);
+            l1.fill(la, s);
             continue;
         }
 
@@ -142,7 +146,7 @@ CacheHierarchy::access(sim::Addr addr, std::uint32_t bytes, bool write,
                 stall += timing.upgradeCycles;
             }
             // A read of a dirty L3 line fills the inner levels
-            // Modified, exactly as the old fillLine(la, s3) did.
+            // Modified: every level holding a line holds it alike.
             fillInner(la, write ? LineState::Modified : r3.prev);
             continue;
         }
@@ -150,10 +154,8 @@ CacheHierarchy::access(sim::Addr addr, std::uint32_t bytes, bool write,
         // Full local miss: back-invalidate the L3 victim to preserve
         // inclusion, snoop the other CPUs, then fill the inner levels.
         ++res.llcMisses;
-        if (r3.victim.valid) {
-            l2.invalidate(r3.victim.lineAddr);
-            l1.invalidate(r3.victim.lineAddr);
-        }
+        if (r3.victim.valid)
+            invalidateInner(r3.victim.lineAddr);
         LineState remote;
         if (write) {
             remote = domain.snoopWrite(cpu, la, res.stolenFrom);
@@ -193,33 +195,25 @@ CacheHierarchy::present(sim::Addr addr) const
 LineState
 CacheHierarchy::snoopInvalidate(sim::Addr addr)
 {
-    // Inclusion: a line absent from L3 is absent everywhere, so the
-    // common miss case costs one set walk instead of three. Invalidating
-    // an absent line bumps no counter, so skipping L1/L2 here is
-    // observable only as saved work.
+    // Inclusion: a line absent from L3 is absent everywhere, and one
+    // absent from L2 is absent from L1, so each level is visited only if
+    // the next outer one held the line. Invalidating an absent line
+    // bumps no counter, so the skipped visits are only saved work.
     const LineState p3 = l3.invalidate(addr);
     if (p3 == LineState::Invalid)
         return LineState::Invalid;
-    const LineState p1 = l1.invalidate(addr);
-    const LineState p2 = l2.invalidate(addr);
-    const LineState worst =
-        (p1 == LineState::Modified || p2 == LineState::Modified ||
-         p3 == LineState::Modified)
-            ? LineState::Modified
-            : LineState::Shared;
     ++linesStolenByRemote;
-    return worst;
+    return std::max(p3, invalidateInner(addr));
 }
 
 bool
 CacheHierarchy::snoopDowngrade(sim::Addr addr)
 {
-    // Same inclusion short-circuit; downgrading an absent line is a
-    // no-op, so nothing is skipped when L3 misses.
+    // Same inclusion order; downgrading an absent line is a no-op.
     if (!l3.downgrade(addr))
         return false;
-    l1.downgrade(addr);
-    l2.downgrade(addr);
+    if (l2.downgrade(addr))
+        l1.downgrade(addr);
     return true;
 }
 

@@ -153,11 +153,17 @@ class CacheHierarchy : public stats::Group
     SnoopDomain &domain;
     MemTiming timing; ///< copied from domain at construction
 
-    /** Fill a line into every level, maintaining inclusion. */
-    void fillLine(sim::Addr line_addr, LineState state);
-
-    /** Fill L2 and L1 only (L3 already filled by findOrInsert). */
+    /**
+     * Fill a line absent from L2 (and so from L1) into L2 and L1; L3
+     * already holds it.
+     */
     void fillInner(sim::Addr line_addr, LineState state);
+
+    /**
+     * Invalidate a line in L2, and in L1 only if L2 held it (inclusion).
+     * @return the worse of the two previous states.
+     */
+    LineState invalidateInner(sim::Addr line_addr);
 
     /** Upgrade a locally-present line to Modified at every level. */
     void upgradeLine(sim::Addr line_addr);

@@ -1,5 +1,7 @@
 #include "src/mem/tlb.hh"
 
+#include "src/sim/logging.hh"
+
 namespace na::mem {
 
 Tlb::Tlb(stats::Group *parent, const std::string &name, unsigned entries)
@@ -8,6 +10,8 @@ Tlb::Tlb(stats::Group *parent, const std::string &name, unsigned entries)
       walks(this, "walks", "page walks (misses)"),
       numEntries(entries)
 {
+    if (entries == 0)
+        sim::fatal("TLB %s needs at least one entry", name.c_str());
 }
 
 bool

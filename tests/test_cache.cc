@@ -149,6 +149,48 @@ TEST(CacheDeath, BadGeometryIsFatal)
                 ::testing::ExitedWithCode(1), "not divisible");
 }
 
+TEST(CacheDeath, ZeroWaysAndOneByteLinesAreFatal)
+{
+    stats::Group root(nullptr, "");
+    EXPECT_EXIT(Cache(&root, "c", 4096, 0, 64),
+                ::testing::ExitedWithCode(1), "not divisible");
+    // A valid tag is the line address with bit 0 set, so bit 0 must
+    // not be part of the line address.
+    EXPECT_EXIT(Cache(&root, "c", 4096, 4, 1),
+                ::testing::ExitedWithCode(1), "power of two >= 2");
+}
+
+TEST_F(CacheTest, LineAtAddressZeroIsCached)
+{
+    // Address 0 is a valid line: its tag must not read as empty.
+    EXPECT_EQ(cache.lookup(0x0), LineState::Invalid);
+    cache.insert(0x0, LineState::Modified);
+    EXPECT_EQ(cache.lookup(0x10), LineState::Modified);
+    EXPECT_EQ(cache.validLines(), 1u);
+    EXPECT_EQ(cache.invalidate(0x0), LineState::Modified);
+    EXPECT_EQ(cache.probe(0x0), LineState::Invalid);
+    EXPECT_EQ(cache.validLines(), 0u);
+}
+
+TEST_F(CacheTest, FillTakesFirstInvalidWayBeforeLru)
+{
+    // Fill a 4-way set, free two ways, then refill: the freed ways are
+    // reused (no eviction) before any valid line is displaced, and the
+    // next fill evicts the least recently used survivor.
+    const sim::Addr stride = 1024; // same set
+    for (int i = 0; i < 4; ++i)
+        cache.insert(static_cast<sim::Addr>(i) * stride, LineState::Shared);
+    cache.invalidate(1 * stride);
+    cache.invalidate(3 * stride);
+    cache.lookup(0); // way 2 (line 2*stride) is now LRU
+    EXPECT_FALSE(cache.insert(4 * stride, LineState::Shared).valid);
+    EXPECT_FALSE(cache.insert(5 * stride, LineState::Shared).valid);
+    EXPECT_EQ(cache.evictions.value(), 0.0);
+    const Cache::Victim v = cache.insert(6 * stride, LineState::Shared);
+    ASSERT_TRUE(v.valid);
+    EXPECT_EQ(v.lineAddr, 2 * stride);
+}
+
 TEST_F(CacheTest, FindOrInsertMissFillsLine)
 {
     const auto r = cache.findOrInsert(0x1000, LineState::Shared);

@@ -162,6 +162,41 @@ TEST(Campaign, InvalidPointIsRejectedBeforeAnyRun)
     EXPECT_THROW(core::Campaign::run(points, opts), std::runtime_error);
 }
 
+TEST(Campaign, BadPlatformGeometryIsRejectedNamingPointAndField)
+{
+    // Geometry the cache/TLB models cannot build used to exit or abort
+    // the whole process from inside a worker; now the campaign throws,
+    // before any point runs, naming the point and the field.
+    struct Case
+    {
+        void (*breakIt)(cpu::PlatformConfig &);
+        const char *field;
+    };
+    const Case cases[] = {
+        {[](cpu::PlatformConfig &p) { p.cacheGeometry.l2Assoc = 3; },
+         "cacheGeometry.l2Size"},
+        {[](cpu::PlatformConfig &p) { p.dtlbEntries = 0; },
+         "dtlbEntries"},
+        {[](cpu::PlatformConfig &p) { p.itlbEntries = 0; },
+         "itlbEntries"},
+    };
+    for (const Case &c : cases) {
+        std::vector<core::CampaignPoint> points = tinyPoints();
+        c.breakIt(points[2].config.platform);
+        core::Campaign::Options opts;
+        opts.numThreads = 2;
+        try {
+            core::Campaign::run(points, opts);
+            ADD_FAILURE() << "expected a rejection naming " << c.field;
+        } catch (const std::runtime_error &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find("campaign point 2"), std::string::npos)
+                << msg;
+            EXPECT_NE(msg.find(c.field), std::string::npos) << msg;
+        }
+    }
+}
+
 TEST(SweepBuilder, CrossesAxesInDeterministicOrder)
 {
     const std::vector<core::CampaignPoint> points =

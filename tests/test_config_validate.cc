@@ -164,10 +164,93 @@ TEST(ConfigValidate, RejectsMalformedSteeringShapes)
     EXPECT_THROW(cfg.validate(), std::runtime_error);
 }
 
+/** Expect validate() to throw with @p field in the message. */
+void
+expectRejectsNaming(const core::SystemConfig &cfg, const char *field)
+{
+    try {
+        cfg.validate();
+        ADD_FAILURE() << "expected std::runtime_error naming " << field;
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(ConfigValidate, RejectsCacheLineSizeNotPowerOfTwo)
+{
+    for (unsigned line : {0u, 1u, 48u, 60u}) {
+        core::SystemConfig cfg = goodConfig();
+        cfg.platform.cacheGeometry.lineBytes = line;
+        expectRejectsNaming(cfg, "cacheGeometry.lineBytes");
+    }
+    core::SystemConfig cfg = goodConfig();
+    cfg.platform.cacheGeometry.lineBytes = 128;
+    EXPECT_NO_THROW(cfg.validate());
+}
+
+TEST(ConfigValidate, RejectsCacheSizeNotDivisibleByAssocTimesLine)
+{
+    core::SystemConfig cfg = goodConfig();
+    cfg.platform.cacheGeometry.l2Assoc = 3; // 512 KiB / (3 x 64)
+    expectRejectsNaming(cfg, "cacheGeometry.l2Size");
+
+    cfg = goodConfig();
+    cfg.platform.cacheGeometry.l1Assoc = 0;
+    expectRejectsNaming(cfg, "cacheGeometry.l1Size");
+
+    cfg = goodConfig();
+    cfg.platform.cacheGeometry.l3Size = 1000;
+    expectRejectsNaming(cfg, "cacheGeometry.l3Size");
+}
+
+TEST(ConfigValidate, RejectsCacheSetCountNotPowerOfTwo)
+{
+    core::SystemConfig cfg = goodConfig();
+    cfg.platform.cacheGeometry.l3Size = 6 * 8 * 64; // 6 sets
+    expectRejectsNaming(cfg, "cacheGeometry.l3Size");
+
+    cfg = goodConfig();
+    cfg.platform.cacheGeometry.l1Size = 0; // 0 sets
+    expectRejectsNaming(cfg, "cacheGeometry.l1Size");
+
+    cfg = goodConfig();
+    cfg.platform.cacheGeometry.l2Assoc = 16; // 512 sets
+    EXPECT_NO_THROW(cfg.validate());
+}
+
+TEST(ConfigValidate, RejectsEmptyTlbs)
+{
+    core::SystemConfig cfg = goodConfig();
+    cfg.platform.itlbEntries = 0;
+    expectRejectsNaming(cfg, "itlbEntries");
+
+    cfg = goodConfig();
+    cfg.platform.dtlbEntries = 0;
+    expectRejectsNaming(cfg, "dtlbEntries");
+
+    cfg = goodConfig();
+    cfg.platform.itlbEntries = 1;
+    cfg.platform.dtlbEntries = 1;
+    EXPECT_NO_THROW(cfg.validate());
+}
+
 TEST(ConfigValidate, SystemConstructorRejectsBadConfig)
 {
     core::SystemConfig cfg = goodConfig();
     cfg.numConnections = 0;
+    EXPECT_THROW(core::System{cfg}, std::runtime_error);
+}
+
+TEST(ConfigValidate, SystemConstructorRejectsBadPlatformWithoutExiting)
+{
+    // These used to reach the cache model's fatal exit or the TLB's
+    // eviction from an empty list.
+    core::SystemConfig cfg = goodConfig();
+    cfg.platform.cacheGeometry.l2Assoc = 3;
+    EXPECT_THROW(core::System{cfg}, std::runtime_error);
+    cfg = goodConfig();
+    cfg.platform.dtlbEntries = 0;
     EXPECT_THROW(core::System{cfg}, std::runtime_error);
 }
 

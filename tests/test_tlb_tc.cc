@@ -61,6 +61,13 @@ TEST(Tlb, ResidentDoesNotRefreshLru)
     EXPECT_FALSE(tlb.resident(0x0000));
 }
 
+TEST(TlbDeath, ZeroEntriesIsFatal)
+{
+    stats::Group root(nullptr, "");
+    EXPECT_EXIT(Tlb(&root, "dtlb", 0), ::testing::ExitedWithCode(1),
+                "at least one entry");
+}
+
 TEST(TraceCache, HitAfterBuild)
 {
     stats::Group root(nullptr, "");
