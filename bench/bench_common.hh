@@ -48,6 +48,35 @@ constexpr std::array<core::AffinityMode, 4> columnOrder = {
     core::AffinityMode::Irq, core::AffinityMode::Full};
 
 /**
+ * The 56-point sweep behind Figures 3 and 4: {TX, RX} x paperSizes x
+ * every affinity mode, in that order (point seeds derive from the
+ * submission index, so the order is part of the result).
+ */
+inline std::vector<core::CampaignPoint>
+fig3Points()
+{
+    return core::SweepBuilder()
+        .modes({workload::TtcpMode::Transmit, workload::TtcpMode::Receive})
+        .sizes(paperSizes)
+        .affinities(core::allAffinityModes)
+        .build();
+}
+
+/**
+ * The 8-point in-depth sweep behind Tables 1, 3 and 5 and Figure 5:
+ * {TX, RX} x {64KB, 128B} x {None, Full}, in that order.
+ */
+inline std::vector<core::CampaignPoint>
+inDepthPoints()
+{
+    return core::SweepBuilder()
+        .modes({workload::TtcpMode::Transmit, workload::TtcpMode::Receive})
+        .sizes({largeSize, smallSize})
+        .affinities({core::AffinityMode::None, core::AffinityMode::Full})
+        .build();
+}
+
+/**
  * Run a campaign with the shared environment knobs applied: thread
  * count from NA_CAMPAIGN_THREADS (via Campaign::resolveThreads), an
  * optional JSON export to $NA_CAMPAIGN_JSON, and an optional JSONL

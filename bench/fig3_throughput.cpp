@@ -48,13 +48,8 @@ main()
     bench::banner("Figure 3: TCP CPU utilization and throughput",
                   "Figure 3");
 
-    const core::ResultSet results = bench::runCampaign(
-        core::SweepBuilder()
-            .modes({workload::TtcpMode::Transmit,
-                    workload::TtcpMode::Receive})
-            .sizes(bench::paperSizes)
-            .affinities(core::allAffinityModes)
-            .build());
+    const core::ResultSet results =
+        bench::runCampaign(bench::fig3Points());
 
     sweep(results, workload::TtcpMode::Transmit);
     sweep(results, workload::TtcpMode::Receive);

@@ -46,13 +46,8 @@ main()
     sim::setQuiet(true);
     bench::banner("Figure 4: TCP processing costs", "Figure 4");
 
-    const core::ResultSet results = bench::runCampaign(
-        core::SweepBuilder()
-            .modes({workload::TtcpMode::Transmit,
-                    workload::TtcpMode::Receive})
-            .sizes(bench::paperSizes)
-            .affinities(core::allAffinityModes)
-            .build());
+    const core::ResultSet results =
+        bench::runCampaign(bench::fig3Points());
 
     sweep(results, workload::TtcpMode::Transmit);
     sweep(results, workload::TtcpMode::Receive);

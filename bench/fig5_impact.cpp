@@ -59,14 +59,8 @@ main()
     sim::setQuiet(true);
     bench::banner("Figure 5: performance impact indicators", "Figure 5");
 
-    const core::ResultSet results = bench::runCampaign(
-        core::SweepBuilder()
-            .modes({workload::TtcpMode::Transmit,
-                    workload::TtcpMode::Receive})
-            .sizes({bench::largeSize, bench::smallSize})
-            .affinities({core::AffinityMode::None,
-                         core::AffinityMode::Full})
-            .build());
+    const core::ResultSet results =
+        bench::runCampaign(bench::inDepthPoints());
 
     block(results, bench::largeSize, "64KB");
     block(results, bench::smallSize, "128B");

@@ -60,14 +60,8 @@ main()
     sim::setQuiet(true);
     bench::banner("Table 3: relating improvements to events", "Table 3");
 
-    const core::ResultSet results = bench::runCampaign(
-        core::SweepBuilder()
-            .modes({workload::TtcpMode::Transmit,
-                    workload::TtcpMode::Receive})
-            .sizes({bench::largeSize, bench::smallSize})
-            .affinities({core::AffinityMode::None,
-                         core::AffinityMode::Full})
-            .build());
+    const core::ResultSet results =
+        bench::runCampaign(bench::inDepthPoints());
 
     quadrant(results, workload::TtcpMode::Transmit, bench::largeSize);
     quadrant(results, workload::TtcpMode::Transmit, bench::smallSize);

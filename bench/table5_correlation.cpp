@@ -63,14 +63,8 @@ main()
         "Table 5: correlating cycle improvements to event improvements",
         "Table 5");
 
-    const core::ResultSet results = bench::runCampaign(
-        core::SweepBuilder()
-            .modes({workload::TtcpMode::Transmit,
-                    workload::TtcpMode::Receive})
-            .sizes({bench::largeSize, bench::smallSize})
-            .affinities({core::AffinityMode::None,
-                         core::AffinityMode::Full})
-            .build());
+    const core::ResultSet results =
+        bench::runCampaign(bench::inDepthPoints());
 
     std::vector<RowResult> rows;
     rows.push_back(quadrant(results, workload::TtcpMode::Transmit,

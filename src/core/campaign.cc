@@ -7,6 +7,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 
 #include "src/core/env.hh"
@@ -199,22 +200,18 @@ Campaign::run(std::vector<CampaignPoint> points, const Options &options)
         }
     }
 
-    // Canonical keys: collision-checked, and identical points (same
-    // key, possible with derivePointSeeds off) execute once — the
-    // later duplicates alias the first slot's result.
+    // Canonical keys: pointKeys throws on a text collision, so equal
+    // keys mean identical points (possible with derivePointSeeds off).
+    // Those execute once; later duplicates alias the first slot.
     constexpr std::size_t no_alias = static_cast<std::size_t>(-1);
-    std::vector<std::uint64_t> keys(points.size());
+    const std::vector<std::uint64_t> keys = pointKeys(points);
     std::vector<std::size_t> alias(points.size(), no_alias);
     {
-        PointKeyRegistry registry;
+        std::unordered_map<std::uint64_t, std::size_t> first;
         for (std::size_t i = 0; i < points.size(); ++i) {
-            std::string text = canonicalPointText(points[i].config,
-                                                  points[i].schedule);
-            keys[i] = hashCanonicalText(text);
-            const PointKeyRegistry::Entry e =
-                registry.add(keys[i], std::move(text), i);
-            if (e.duplicate)
-                alias[i] = e.firstIndex;
+            const auto [it, fresh] = first.emplace(keys[i], i);
+            if (!fresh)
+                alias[i] = it->second;
         }
     }
 

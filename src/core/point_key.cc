@@ -31,7 +31,8 @@ hashCanonicalText(const std::string &text)
         h ^= c;
         h *= 0x100000001b3ULL;
     }
-    // Zero is reserved as "no key" (converted monolithic records).
+    // Zero is never a key, so the JSONL reader can reject a zeroed
+    // point_key as corrupt.
     return h ? h : 0x100000001b3ULL;
 }
 

@@ -16,7 +16,9 @@
  * Keys are process- and platform-stable: the canonical text is built
  * with locale-independent formatting (std::to_chars for doubles) and
  * the hash is fixed-width arithmetic, so a key computed by a shard
- * worker on one machine matches the merge step on another.
+ * worker on one machine matches the merge step on another. A key is
+ * never 0: the hash remaps it, and the JSONL reader
+ * (results_jsonl.hh) rejects a zero point_key.
  *
  * The canonical text deliberately covers the fields the results
  * schema round-trips plus the run schedule — not every last TcpConfig
@@ -43,7 +45,7 @@
 
 namespace na::core {
 
-/** FNV-1a 64-bit over @p text — the PointKey hash primitive. */
+/** FNV-1a 64-bit over @p text — the PointKey hash primitive; never 0. */
 std::uint64_t hashCanonicalText(const std::string &text);
 
 /**

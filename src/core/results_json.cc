@@ -1,12 +1,11 @@
 #include "src/core/results_json.hh"
 
+#include <algorithm>
 #include <charconv>
 #include <fstream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
-#include "src/core/json.hh"
 #include "src/core/results_record.hh"
 #include "src/prof/bins.hh"
 #include "src/sim/logging.hh"
@@ -50,6 +49,61 @@ dbl(double v)
     return std::string(buf, ptr);
 }
 
+std::string
+jsonEscape(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size());
+    for (char c : s) {
+        switch (c) {
+          case '"':  out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\t': out += "\\t"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20)
+                out += sim::format("\\u%04x", c);
+            else
+                out += c;
+        }
+    }
+    return out;
+}
+
+/** Throw "json: field '<name>' <why>", the json accessors' form. */
+[[noreturn]] void
+badField(const std::string &name, const std::string &why)
+{
+    throw std::runtime_error("json: field '" + name + "' " + why);
+}
+
+/** Throw: field @p name holds @p token, which the writer never emits. */
+[[noreturn]] void
+badToken(const std::string &name, const std::string &token)
+{
+    badField(name, "= \"" + token + "\" is not a known token");
+}
+
+/** @return the items of list field @p name of @p v. */
+const std::vector<Value> &
+list(const Value &v, const std::string &name)
+{
+    const Value &f = v.field(name);
+    if (!f.isArray())
+        badField(name, "is not a list");
+    return f.items;
+}
+
+/** @return list field @p name of @p v, every item a uint64. */
+std::vector<std::uint64_t>
+u64List(const Value &v, const std::string &name)
+{
+    std::vector<std::uint64_t> out;
+    for (const Value &item : list(v, name))
+        out.push_back(item.as<std::uint64_t>(name));
+    return out;
+}
+
 void
 writeIntervals(std::ostream &os, const prof::IntervalSeries &s)
 {
@@ -78,19 +132,12 @@ readIntervals(const Value &iv)
     s.intervalTicks = iv.u64("interval_ticks");
     s.numCpus = iv.integer<int>("num_cpus");
     s.numQueues = iv.integer<int>("num_queues");
-    const Value &windows = iv.field("windows");
-    if (!windows.isArray())
-        throw std::runtime_error(
-            "results json: intervals 'windows' is not a list");
-    for (const Value &wv : windows.items) {
+    for (const Value &wv : list(iv, "windows")) {
         prof::IntervalWindow w;
         w.start = wv.u64("start");
         w.end = wv.u64("end");
-        for (const Value &qv : wv.field("rx_frames_per_queue").items)
-            w.rxFramesPerQueue.push_back(
-                qv.as<std::uint64_t>("rx_frames_per_queue"));
-        for (const Value &dv : wv.field("deltas").items)
-            w.binDeltas.push_back(dv.as<std::uint64_t>("deltas"));
+        w.rxFramesPerQueue = u64List(wv, "rx_frames_per_queue");
+        w.binDeltas = u64List(wv, "deltas");
         s.windows.push_back(std::move(w));
     }
     return s;
@@ -140,11 +187,7 @@ readFlows(const Value &fv)
         f.flowLearnDrops = fv.u64("flow_learn_drops");
     f.oooArrivals = fv.u64("ooo_arrivals");
     f.liveConnections = fv.u64("live_connections");
-    const Value &buckets = fv.field("size_buckets");
-    if (!buckets.isArray())
-        throw std::runtime_error(
-            "results json: flows 'size_buckets' is not a list");
-    for (const Value &bv : buckets.items) {
+    for (const Value &bv : list(fv, "size_buckets")) {
         FlowSizeBucketStat s;
         s.maxBytes = bv.u64("max_bytes");
         s.flows = bv.u64("flows");
@@ -179,19 +222,29 @@ readReorder(const Value &rv)
     ro.oooArrivals = rv.u64("ooo_arrivals");
     ro.oooWindows = rv.u64("ooo_windows");
     ro.oooWindowTicks = rv.u64("ooo_window_ticks");
-    const Value &hist = rv.field("ooo_depth_hist");
-    if (!hist.isArray())
-        throw std::runtime_error(
-            "results json: reorder 'ooo_depth_hist' is not a list");
-    for (std::size_t b = 0;
-         b < hist.items.size() && b < ro.oooDepthHist.size(); ++b)
-        ro.oooDepthHist[b] =
-            hist.items[b].as<std::uint64_t>("ooo_depth_hist");
+    const std::vector<std::uint64_t> hist =
+        u64List(rv, "ooo_depth_hist");
+    if (hist.size() != ro.oooDepthHist.size()) {
+        badField("ooo_depth_hist",
+                 sim::format("holds %zu integers, not %zu", hist.size(),
+                             ro.oooDepthHist.size()));
+    }
+    std::copy(hist.begin(), hist.end(), ro.oooDepthHist.begin());
     ro.dupAckBursts = rv.u64("dup_ack_bursts");
     ro.retransmits = rv.u64("retransmits");
     ro.spuriousRetransmits = rv.u64("spurious_retransmits");
     ro.senderHops = rv.u64("sender_hops");
     return ro;
+}
+
+workload::Kind
+parseWorkloadToken(const std::string &tok)
+{
+    try {
+        return workload::kindFromToken(tok);
+    } catch (const std::runtime_error &) {
+        badToken("workload", tok);
+    }
 }
 
 workload::TtcpMode
@@ -201,8 +254,7 @@ parseModeToken(const std::string &tok)
         return workload::TtcpMode::Transmit;
     if (tok == "rx")
         return workload::TtcpMode::Receive;
-    throw std::runtime_error("results json: bad mode token '" + tok +
-                             "'");
+    badToken("mode", tok);
 }
 
 AffinityMode
@@ -212,87 +264,44 @@ parseAffinityToken(const std::string &tok)
         if (tok == affinityToken(a))
             return a;
     }
-    throw std::runtime_error("results json: bad affinity token '" + tok +
-                             "'");
+    badToken("affinity", tok);
+}
+
+/** @return @p tok after checking it names a net::SteeringKind. */
+const std::string &
+checkSteeringToken(const std::string &tok)
+{
+    for (net::SteeringKind k : net::allSteeringKinds) {
+        if (tok == net::steeringKindName(k))
+            return tok;
+    }
+    badToken("steering", tok);
 }
 
 } // namespace
 
 namespace detail {
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += sim::format("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-    return out;
-}
-
-PointRecordView
-recordView(const CampaignPoint &point, const RunResult &result)
+void
+writePointRecord(std::ostream &os, const CampaignPoint &point,
+                 const RunResult &r)
 {
     const SystemConfig &c = point.config;
     const bool is_ttcp = c.workloadKind() == workload::Kind::Ttcp;
-    PointRecordView v;
-    v.label = &point.label;
-    v.workload = std::string(workload::kindToken(c.workloadKind()));
-    v.mode = is_ttcp ? modeToken(c.ttcp().mode) : "-";
-    v.msgSize = is_ttcp ? c.ttcp().msgSize : 0;
-    v.affinity = affinityToken(c.affinity);
-    v.connections = c.numConnections;
-    v.cpus = c.platform.numCpus;
-    v.seed = c.platform.seed;
-    v.steering = std::string(net::steeringKindName(c.steering.kind));
-    v.queues = c.steering.numQueues;
-    v.faults = c.faults.enabled() ? c.faults.label() : "off";
-    v.result = &result;
-    return v;
-}
-
-PointRecordView
-recordView(const JsonRunRecord &rec)
-{
-    PointRecordView v;
-    v.label = &rec.label;
-    v.workload = rec.workload;
-    v.mode = rec.workload == "ttcp" ? modeToken(rec.mode) : "-";
-    v.msgSize = rec.msgSize;
-    v.affinity = affinityToken(rec.affinity);
-    v.connections = rec.connections;
-    v.cpus = rec.cpus;
-    v.seed = rec.seed;
-    v.steering = rec.steering;
-    v.queues = rec.queues;
-    v.faults = rec.faults;
-    v.result = &rec.result;
-    return v;
-}
-
-void
-writePointRecord(std::ostream &os, const PointRecordView &v)
-{
-    const RunResult &r = *v.result;
-    os << "\"label\": \"" << jsonEscape(*v.label) << "\", ";
-    os << "\"config\": {\"workload\": \"" << v.workload
-       << "\", \"mode\": \"" << v.mode << "\", \"msg_size\": "
-       << v.msgSize << ", \"affinity\": \"" << v.affinity
-       << "\", \"connections\": " << v.connections << ", \"cpus\": "
-       << v.cpus << ", \"seed\": " << v.seed << ", \"steering\": \""
-       << v.steering << "\", \"queues\": " << v.queues
-       << ", \"faults\": \"" << jsonEscape(v.faults) << "\"}, ";
+    const int cpus = c.platform.numCpus;
+    os << "\"label\": \"" << jsonEscape(point.label) << "\", ";
+    os << "\"config\": {\"workload\": \""
+       << workload::kindToken(c.workloadKind()) << "\", \"mode\": \""
+       << (is_ttcp ? modeToken(c.ttcp().mode) : "-")
+       << "\", \"msg_size\": " << (is_ttcp ? c.ttcp().msgSize : 0)
+       << ", \"affinity\": \"" << affinityToken(c.affinity)
+       << "\", \"connections\": " << c.numConnections << ", \"cpus\": "
+       << cpus << ", \"seed\": " << c.platform.seed
+       << ", \"steering\": \"" << net::steeringKindName(c.steering.kind)
+       << "\", \"queues\": " << c.steering.numQueues
+       << ", \"faults\": \""
+       << jsonEscape(c.faults.enabled() ? c.faults.label() : "off")
+       << "\"}, ";
     os << "\"result\": {";
     os << "\"seconds\": " << dbl(r.seconds) << ", ";
     os << "\"payload_bytes\": " << r.payloadBytes << ", ";
@@ -300,9 +309,9 @@ writePointRecord(std::ostream &os, const PointRecordView &v)
     os << "\"cpu_util\": " << dbl(r.cpuUtil) << ", ";
     os << "\"ghz_per_gbps\": " << dbl(r.ghzPerGbps) << ", ";
     os << "\"util_per_cpu\": [";
-    for (int c = 0; c < v.cpus; ++c) {
-        os << (c ? ", " : "")
-           << dbl(r.utilPerCpu[static_cast<std::size_t>(c)]);
+    for (int i = 0; i < cpus; ++i) {
+        os << (i ? ", " : "")
+           << dbl(r.utilPerCpu[static_cast<std::size_t>(i)]);
     }
     os << "], ";
     os << "\"irqs\": " << r.irqs << ", \"ipis\": " << r.ipis
@@ -344,19 +353,17 @@ parsePointRecord(const Value &pv)
     rec.label = pv.str("label");
 
     const Value &cfg = pv.field("config");
-    if (cfg.has("workload"))
-        rec.workload = cfg.str("workload");
-    if (rec.workload == "ttcp")
+    rec.workload = cfg.str("workload");
+    if (parseWorkloadToken(rec.workload) == workload::Kind::Ttcp)
         rec.mode = parseModeToken(cfg.str("mode"));
     rec.msgSize = cfg.integer<std::uint32_t>("msg_size");
     rec.affinity = parseAffinityToken(cfg.str("affinity"));
     rec.connections = cfg.integer<int>("connections");
     rec.cpus = cfg.integer<int>("cpus");
     rec.seed = cfg.u64("seed");
-    rec.steering = cfg.str("steering");
+    rec.steering = checkSteeringToken(cfg.str("steering"));
     rec.queues = cfg.integer<int>("queues");
-    if (cfg.has("faults"))
-        rec.faults = cfg.str("faults");
+    rec.faults = cfg.str("faults");
     rec.result.steeringPolicy = rec.steering;
 
     const Value &res = pv.field("result");
@@ -365,24 +372,29 @@ parsePointRecord(const Value &pv)
     rec.result.throughputMbps = res.num("throughput_mbps");
     rec.result.cpuUtil = res.num("cpu_util");
     rec.result.ghzPerGbps = res.num("ghz_per_gbps");
-    const Value &util = res.field("util_per_cpu");
-    for (std::size_t c = 0;
-         c < util.items.size() && c < rec.result.utilPerCpu.size();
-         ++c) {
-        rec.result.utilPerCpu[c] = util.items[c].number;
+    // The writer emits one entry per CPU, failed points included.
+    const std::vector<Value> &util = list(res, "util_per_cpu");
+    if (rec.cpus < 0 || util.size() != static_cast<std::size_t>(rec.cpus) ||
+        util.size() > rec.result.utilPerCpu.size()) {
+        badField("util_per_cpu",
+                 sim::format("holds %zu entries for 'cpus' = %d (at "
+                             "most %zu)",
+                             util.size(), rec.cpus,
+                             rec.result.utilPerCpu.size()));
+    }
+    for (std::size_t c = 0; c < util.size(); ++c) {
+        if (!util[c].isNumber())
+            badField("util_per_cpu", sim::format("entry %zu is not a "
+                                                 "number", c));
+        rec.result.utilPerCpu[c] = util[c].number;
     }
     rec.result.irqs = res.u64("irqs");
     rec.result.ipis = res.u64("ipis");
     rec.result.migrations = res.u64("migrations");
     rec.result.contextSwitches = res.u64("context_switches");
-    if (res.has("tx_drops_ring_full"))
-        rec.result.txDropsRingFull = res.u64("tx_drops_ring_full");
-    if (res.has("rx_drops_ring_full"))
-        rec.result.rxDropsRingFull = res.u64("rx_drops_ring_full");
-    const Value &per_queue = res.field("rx_frames_per_queue");
-    for (const Value &qv : per_queue.items)
-        rec.result.rxFramesPerQueue.push_back(
-            qv.as<std::uint64_t>("rx_frames_per_queue"));
+    rec.result.txDropsRingFull = res.u64("tx_drops_ring_full");
+    rec.result.rxDropsRingFull = res.u64("rx_drops_ring_full");
+    rec.result.rxFramesPerQueue = u64List(res, "rx_frames_per_queue");
     if (res.has("failure")) {
         const Value &fv = res.field("failure");
         rec.result.failed = true;
@@ -398,6 +410,8 @@ parsePointRecord(const Value &pv)
     if (res.has("intervals"))
         rec.result.intervals = readIntervals(res.field("intervals"));
     const Value &events = res.field("event_totals");
+    if (!events.isObject())
+        badField("event_totals", "is not an object");
     for (std::size_t e = 0; e < prof::numEvents; ++e) {
         const auto ev = static_cast<prof::Event>(e);
         auto it = events.fields.find(std::string(prof::eventName(ev)));
@@ -420,8 +434,7 @@ writeResultsJson(std::ostream &os, const ResultSet &results)
     os << "  \"points\": [";
     for (std::size_t i = 0; i < results.size(); ++i) {
         os << (i ? ",\n    {" : "\n    {");
-        detail::writePointRecord(
-            os, detail::recordView(results.point(i), results.result(i)));
+        detail::writePointRecord(os, results.point(i), results.result(i));
         os << "}";
     }
     os << "\n  ]\n}\n";
@@ -435,37 +448,6 @@ writeResultsJsonFile(const std::string &path, const ResultSet &results)
         return false;
     writeResultsJson(out, results);
     return out.good();
-}
-
-JsonCampaign
-readResultsJson(std::istream &is)
-{
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    const Value root = json::parse(buf.str());
-    if (!root.isObject())
-        throw std::runtime_error("results json: root is not an object");
-    const int version = root.integer<int>("schema_version");
-    // Each version is the previous plus optional/additive fields
-    // (v3: intervals; v4: faults token, ring-full drops, failure
-    // block; v5: workload token and the optional "flows" block;
-    // v6: the optional "reorder" block and flow_learn_drops), so
-    // one reader with has() guards serves all of them.
-    if (version < 2 || version > resultsSchemaVersion)
-        throw std::runtime_error(
-            "results json: unsupported schema_version");
-
-    JsonCampaign campaign;
-    campaign.campaignSeed = root.u64("campaign_seed");
-    campaign.threads = root.integer<int>("threads");
-
-    const Value &points = root.field("points");
-    if (!points.isArray())
-        throw std::runtime_error("results json: 'points' is not a list");
-
-    for (const Value &pv : points.items)
-        campaign.points.push_back(detail::parsePointRecord(pv));
-    return campaign;
 }
 
 } // namespace na::core

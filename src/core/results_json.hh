@@ -1,14 +1,14 @@
 /**
  * @file
- * Campaign result export/import as JSON (campaign_results.json).
+ * Campaign result export as one JSON document (campaign_results.json).
  *
- * Schema (version 6; v1 lacked the steering fields and
- * rx_frames_per_queue, v2 lacked the optional per-point "intervals"
- * block, v3 lacked the faults token, the ring-full drop counters, and
- * the optional per-point "failure" block, v4 lacked the workload
- * token and the optional "flows" block, v5 lacked the optional
- * "reorder" block and flows.flow_learn_drops — the reader accepts 2
- * through 6):
+ * The document is write-only: NA_CAMPAIGN_JSON, `campaignctl merge`
+ * and `affinity_sweep --json` produce it for people and external
+ * tools, and nothing in the engine reads it back. Resume, shard merge
+ * and every round-trip check read the JSONL stream (results_jsonl.hh),
+ * whose lines carry the same per-point record (results_record.hh).
+ *
+ * Schema (version 6):
  *
  *   {
  *     "schema_version": 6,
@@ -80,9 +80,9 @@
  *     ]
  *   }
  *
- * Doubles are printed with std::to_chars (shortest round-trip form)
- * and parsed with std::from_chars, so values survive a write/read
- * round-trip bit-exactly regardless of the process locale.
+ * Doubles are printed with std::to_chars (shortest round-trip form),
+ * so the text is locale-independent and a JSONL reader gets every
+ * value back bit-exactly.
  */
 
 #ifndef NETAFFINITY_CORE_RESULTS_JSON_HH
@@ -90,63 +90,25 @@
 
 #include <iosfwd>
 #include <string>
-#include <vector>
 
 #include "src/core/campaign.hh"
 
 namespace na::core {
 
-/** Current results schema version (monolithic and JSONL records). */
+/** Current results schema version (document and JSONL records). */
 constexpr int resultsSchemaVersion = 6;
 
 /**
  * Serialize a completed campaign to the schema above. Each point is
  * emitted as one compact line inside the pretty-printed top level —
- * the identical record text a results JSONL stream carries
- * (results_jsonl.hh), so the two formats convert losslessly.
+ * the record text a results JSONL line carries after its schema and
+ * point_key fields.
  */
 void writeResultsJson(std::ostream &os, const ResultSet &results);
 
 /** writeResultsJson() to @p path. @return false on I/O failure. */
 bool writeResultsJsonFile(const std::string &path,
                           const ResultSet &results);
-
-/** One record parsed back from a results file. */
-struct JsonRunRecord
-{
-    std::string label;
-    /** Workload kind token ("ttcp", "mix"); pre-v5 files read "ttcp". */
-    std::string workload = "ttcp";
-    /** ttcp direction; meaningless when workload != "ttcp". */
-    workload::TtcpMode mode = workload::TtcpMode::Transmit;
-    std::uint32_t msgSize = 0;
-    AffinityMode affinity = AffinityMode::None;
-    int connections = 0;
-    int cpus = 0;
-    std::uint64_t seed = 0;
-    /** Steering policy token ("static", "rss", "flow_director"). */
-    std::string steering = "static";
-    /** RX queues per NIC the point was provisioned with. */
-    int queues = 1;
-    /** Fault-plan label ("off" when the point ran fault-free). */
-    std::string faults = "off";
-    /** Result fields the schema carries (bins stay zeroed). */
-    RunResult result;
-};
-
-/** Parsed top-level campaign file. */
-struct JsonCampaign
-{
-    std::uint64_t campaignSeed = 0;
-    int threads = 0;
-    std::vector<JsonRunRecord> points;
-};
-
-/**
- * Parse a schema-version-2 through -6 results stream.
- * @throws std::runtime_error on malformed input.
- */
-JsonCampaign readResultsJson(std::istream &is);
 
 } // namespace na::core
 

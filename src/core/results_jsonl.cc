@@ -32,14 +32,19 @@ parseLine(const std::string &line, std::size_t line_no)
     JsonlRecord rec;
     try {
         rec.schemaVersion = v.integer<int>("schema");
-        if (rec.schemaVersion < 2 ||
-            rec.schemaVersion > resultsSchemaVersion) {
+        // Streams began at schema 5; v6 only added optional fields.
+        if (rec.schemaVersion != 5 &&
+            rec.schemaVersion != resultsSchemaVersion) {
             throw std::runtime_error(sim::format(
                 "unsupported schema token %d (this reader understands "
-                "2 through %d)",
+                "5 and %d)",
                 rec.schemaVersion, resultsSchemaVersion));
         }
         rec.key = parsePointKey(v.str("point_key"));
+        if (rec.key == 0)
+            throw std::runtime_error("json: field 'point_key' = "
+                                     "0000000000000000 is reserved: "
+                                     "no point hashes to 0");
         rec.rec = detail::parsePointRecord(v);
     } catch (const std::exception &e) {
         throw std::runtime_error(sim::format(
@@ -54,10 +59,8 @@ std::unordered_map<std::uint64_t, std::size_t>
 JsonlFile::latestByKey() const
 {
     std::unordered_map<std::uint64_t, std::size_t> latest;
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        if (records[i].key != 0)
-            latest[records[i].key] = i;
-    }
+    for (std::size_t i = 0; i < records.size(); ++i)
+        latest[records[i].key] = i;
     return latest;
 }
 
@@ -67,7 +70,7 @@ writeJsonlRecord(std::ostream &os, const CampaignPoint &point,
 {
     os << "{\"schema\": " << resultsSchemaVersion
        << ", \"point_key\": \"" << formatPointKey(key) << "\", ";
-    detail::writePointRecord(os, detail::recordView(point, result));
+    detail::writePointRecord(os, point, result);
     os << "}\n";
 }
 
@@ -162,19 +165,16 @@ mergeShardFiles(const std::vector<JsonlFile> &shards)
         const auto latest = shards[s].latestByKey();
         for (std::size_t i = 0; i < shards[s].records.size(); ++i) {
             const JsonlRecord &r = shards[s].records[i];
-            if (r.key != 0) {
-                auto it = latest.find(r.key);
-                if (it != latest.end() && it->second != i)
-                    continue; // superseded within this shard
-                auto [oit, inserted] = owner.emplace(r.key, s);
-                if (!inserted) {
-                    throw std::runtime_error(sim::format(
-                        "results jsonl merge: point key %s ('%s') "
-                        "appears in shard files %zu and %zu — the "
-                        "shards do not partition the sweep",
-                        formatPointKey(r.key).c_str(),
-                        r.rec.label.c_str(), oit->second, s));
-                }
+            if (latest.at(r.key) != i)
+                continue; // superseded within this shard
+            auto [oit, inserted] = owner.emplace(r.key, s);
+            if (!inserted) {
+                throw std::runtime_error(sim::format(
+                    "results jsonl merge: point key %s ('%s') appears "
+                    "in shard files %zu and %zu — the shards do not "
+                    "partition the sweep",
+                    formatPointKey(r.key).c_str(), r.rec.label.c_str(),
+                    oit->second, s));
             }
             merged.push_back(r);
         }
@@ -192,10 +192,8 @@ assembleResultSet(std::vector<CampaignPoint> points,
     const std::vector<std::uint64_t> keys = Campaign::pointKeys(points);
 
     std::unordered_map<std::uint64_t, std::size_t> latest;
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        if (records[i].key != 0)
-            latest[records[i].key] = i;
-    }
+    for (std::size_t i = 0; i < records.size(); ++i)
+        latest[records[i].key] = i;
 
     std::vector<RunResult> results(points.size());
     std::string missing;
@@ -219,39 +217,6 @@ assembleResultSet(std::vector<CampaignPoint> points,
     rs.campaignSeed = options.seed;
     rs.threadsUsed = threads_used;
     return rs;
-}
-
-void
-writeMonolithicFromRecords(std::ostream &os,
-                           std::uint64_t campaign_seed, int threads,
-                           const std::vector<JsonlRecord> &records)
-{
-    os << "{\n";
-    os << "  \"schema_version\": " << resultsSchemaVersion << ",\n";
-    os << "  \"campaign_seed\": " << campaign_seed << ",\n";
-    os << "  \"threads\": " << threads << ",\n";
-    os << "  \"points\": [";
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        os << (i ? ",\n    {" : "\n    {");
-        detail::writePointRecord(os, detail::recordView(records[i].rec));
-        os << "}";
-    }
-    os << "\n  ]\n}\n";
-}
-
-std::vector<JsonlRecord>
-recordsFromMonolithic(const JsonCampaign &campaign)
-{
-    std::vector<JsonlRecord> records;
-    records.reserve(campaign.points.size());
-    for (const JsonRunRecord &rec : campaign.points) {
-        JsonlRecord r;
-        r.key = 0;
-        r.schemaVersion = resultsSchemaVersion;
-        r.rec = rec;
-        records.push_back(std::move(r));
-    }
-    return records;
 }
 
 } // namespace na::core

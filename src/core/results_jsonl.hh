@@ -1,24 +1,24 @@
 /**
  * @file
- * Streaming campaign results: one self-contained JSON record per line.
+ * Streaming campaign results: one self-contained JSON record per line,
+ * and the engine's only results reader.
  *
- * The monolithic results document (results_json.hh) is written once,
- * at the end, by whoever holds the whole ResultSet — a crashed
- * overnight sweep loses everything and nothing is inspectable until
- * the last point finishes. The JSONL stream is the production-scale
- * alternative:
+ * The campaign document (results_json.hh) is written once, at the end,
+ * by whoever holds the whole ResultSet, and is never read back. The
+ * JSONL stream is what the engine reads: resume, shard merge and
+ * perfbench's round-trip check all parse it. Each completed point
+ * appends and flushes
  *
- *   {"schema": 5, "point_key": "<16 hex>", "label": "...",
+ *   {"schema": 6, "point_key": "<16 hex>", "label": "...",
  *    "config": {...}, "result": {...}}\n
  *
- * per completed point, appended and flushed as each point finishes.
- * The config/result blocks are byte-for-byte the v2-v5 record the
- * monolithic document carries, so the schema version ladder is shared
- * (the "schema" token per line) and conversion in either direction is
- * lossless. The point_key is the canonical config hash
- * (point_key.hh): resume matches records to points by key, shard
- * merges reassemble a ResultSet by key, and a key of all zeros means
- * "unknown" (records converted from a monolithic document).
+ * The label/config/result fields are byte-for-byte the record the
+ * document carries (results_record.hh). Streams began at schema 5, so
+ * the reader accepts per-line tokens 5 and 6; v6 added only the
+ * optional "reorder" block and flows.flow_learn_drops. The point_key
+ * is the canonical config hash (point_key.hh), never zero: resume
+ * matches records to points by key, and shard merges reassemble a
+ * ResultSet by key.
  *
  * Crash safety: an interrupted writer leaves at most one partial
  * final line. The reader tolerates exactly that — an unterminated,
@@ -43,15 +43,37 @@
 
 namespace na::core {
 
+/** One label/config/result record parsed back from a stream. */
+struct JsonRunRecord
+{
+    std::string label;
+    /** Workload kind token ("ttcp", "mix"). */
+    std::string workload = "ttcp";
+    /** ttcp direction; meaningless when workload != "ttcp". */
+    workload::TtcpMode mode = workload::TtcpMode::Transmit;
+    std::uint32_t msgSize = 0;
+    AffinityMode affinity = AffinityMode::None;
+    int connections = 0;
+    int cpus = 0;
+    std::uint64_t seed = 0;
+    /** Steering policy token ("static", "rss", "flow_director"). */
+    std::string steering = "static";
+    /** RX queues per NIC the point was provisioned with. */
+    int queues = 1;
+    /** Fault-plan label ("off" when the point ran fault-free). */
+    std::string faults = "off";
+    /** Result fields the schema carries (bins stay zeroed). */
+    RunResult result;
+};
+
 /** One parsed JSONL line. */
 struct JsonlRecord
 {
-    /** Canonical point key (0 = unknown/converted). */
+    /** Canonical point key (never 0). */
     std::uint64_t key = 0;
-    /** Per-line schema token (2-5). */
+    /** Per-line schema token (5 or 6). */
     int schemaVersion = 0;
-    /** The label/config/result payload, as the monolithic reader
-     *  would have produced it. */
+    /** The label/config/result payload. */
     JsonRunRecord rec;
 };
 
@@ -64,8 +86,8 @@ struct JsonlFile
     bool truncatedTail = false;
 
     /**
-     * @return record index of the *last* occurrence of every nonzero
-     *         key — resume semantics: a re-run point's newer record
+     * @return record index of the *last* occurrence of every key —
+     *         resume semantics: a re-run point's newer record
      *         supersedes its older one.
      */
     std::unordered_map<std::uint64_t, std::size_t> latestByKey() const;
@@ -77,8 +99,9 @@ void writeJsonlRecord(std::ostream &os, const CampaignPoint &point,
 
 /**
  * Parse a JSONL stream. Unterminated unparseable tail -> dropped and
- * flagged; any other malformed line, bad point key, or unsupported
- * per-line schema token -> std::runtime_error naming the line.
+ * flagged; any other malformed line or field, bad or zero point key,
+ * or schema token other than 5 or 6 -> std::runtime_error naming the
+ * line.
  */
 JsonlFile readResultsJsonl(std::istream &is);
 
@@ -113,8 +136,7 @@ class JsonlAppender
  * Merge per-shard streams: within a file the latest record per key
  * wins (resume re-runs append); across files a shared key is a
  * partitioning bug and throws.
- * @return surviving records, shard-major, in file order. Zero-key
- *         records are passed through unmerged.
+ * @return surviving records, shard-major, in file order.
  */
 std::vector<JsonlRecord>
 mergeShardFiles(const std::vector<JsonlFile> &shards);
@@ -133,24 +155,6 @@ ResultSet assembleResultSet(std::vector<CampaignPoint> points,
                             const Campaign::Options &options,
                             const std::vector<JsonlRecord> &records,
                             int threads_used);
-
-/**
- * Converter: write records as a monolithic v5 document that
- * readResultsJson() (and every pre-JSONL consumer) accepts.
- */
-void writeMonolithicFromRecords(std::ostream &os,
-                                std::uint64_t campaign_seed,
-                                int threads,
-                                const std::vector<JsonlRecord> &records);
-
-/**
- * Converter: explode a parsed monolithic document into JSONL records.
- * Keys are 0 (the document does not store them); rekey by matching
- * labels against a rebuilt point list if resume-compatibility is
- * needed.
- */
-std::vector<JsonlRecord>
-recordsFromMonolithic(const JsonCampaign &campaign);
 
 } // namespace na::core
 

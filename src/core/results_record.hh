@@ -1,19 +1,18 @@
 /**
  * @file
- * Internal record-level JSON for campaign points — the code shared by
- * the monolithic results document (results_json) and the streaming
- * JSONL emitter/reader (results_jsonl).
+ * Internal record-level JSON for campaign points: the one codec
+ * behind the campaign document (results_json, write-only) and the
+ * JSONL stream (results_jsonl, written and read back).
  *
- * Both formats carry the same per-point payload:
+ * Both containers carry the same per-point payload:
  *
  *   "label": "...", "config": {...}, "result": {...}
  *
- * The writers here emit that payload from a token-level view so that
- * it can be produced either from a live (CampaignPoint, RunResult)
- * pair or from a parsed JsonRunRecord (format conversion without
- * re-running anything). The parser is the single implementation both
- * readers delegate to, so the v2-v5 version ladder behaves
- * identically whichever container the record arrived in.
+ * writePointRecord() emits it from a live (CampaignPoint, RunResult)
+ * pair. parsePointRecord() is the only results parser in the engine;
+ * every rule the writer follows (util_per_cpu holds exactly `cpus`
+ * numbers, ooo_depth_hist exactly 8 integers, tokens name a known
+ * workload, mode, affinity and steering policy) is a check it makes.
  *
  * This header is internal to src/core; link against results_json.cc.
  */
@@ -22,50 +21,26 @@
 #define NETAFFINITY_CORE_RESULTS_RECORD_HH
 
 #include <iosfwd>
-#include <string>
 
 #include "src/core/campaign.hh"
 #include "src/core/json.hh"
-#include "src/core/results_json.hh"
+#include "src/core/results_jsonl.hh"
 
 namespace na::core::detail {
-
-/** Token-level view of one point: everything the record needs. */
-struct PointRecordView
-{
-    const std::string *label = nullptr;
-    std::string workload;   ///< "ttcp" | "mix"
-    std::string mode;       ///< "tx" | "rx" | "-"
-    std::uint32_t msgSize = 0;
-    std::string affinity;   ///< "none" | "irq" | "proc" | "full"
-    int connections = 0;
-    int cpus = 0;
-    std::uint64_t seed = 0;
-    std::string steering;   ///< "static" | "rss" | "flow_director"
-    int queues = 1;
-    std::string faults;     ///< "off" | fault-plan label
-    const RunResult *result = nullptr;
-};
-
-/** Build the view from a live campaign point and its result. */
-PointRecordView recordView(const CampaignPoint &point,
-                           const RunResult &result);
-
-/** Build the view from a parsed record (format conversion). */
-PointRecordView recordView(const JsonRunRecord &rec);
 
 /**
  * Emit `"label": ..., "config": {...}, "result": {...}` (no
  * surrounding braces) as one compact line-safe run of JSON — the
  * caller wraps it in its container object.
  */
-void writePointRecord(std::ostream &os, const PointRecordView &view);
+void writePointRecord(std::ostream &os, const CampaignPoint &point,
+                      const RunResult &result);
 
-/** Parse one `{label, config, result}` object (shared reader). */
+/**
+ * Parse one `{label, config, result}` object of schema 5 or 6.
+ * @throws std::runtime_error naming the offending field.
+ */
 JsonRunRecord parsePointRecord(const json::Value &pv);
-
-/** JSON string escaping shared by every results emitter. */
-std::string jsonEscape(const std::string &s);
 
 } // namespace na::core::detail
 

@@ -1,7 +1,6 @@
 #include "src/stats/stats.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <iomanip>
 #include <sstream>
 
@@ -70,58 +69,6 @@ Vector::reset()
     std::fill(values.begin(), values.end(), 0.0);
 }
 
-void
-Distribution::sample(double v)
-{
-    if (n == 0) {
-        _min = v;
-        _max = v;
-    } else {
-        _min = std::min(_min, v);
-        _max = std::max(_max, v);
-    }
-    ++n;
-    const double delta = v - runningMean;
-    runningMean += delta / static_cast<double>(n);
-    m2 += delta * (v - runningMean);
-}
-
-double
-Distribution::variance() const
-{
-    if (n < 2)
-        return 0.0;
-    const double var = m2 / static_cast<double>(n - 1);
-    return var > 0.0 ? var : 0.0;
-}
-
-double
-Distribution::stddev() const
-{
-    return std::sqrt(variance());
-}
-
-void
-Distribution::dump(std::ostream &os, const std::string &prefix) const
-{
-    emitLine(os, prefix, name() + "::count",
-             static_cast<double>(n), desc());
-    emitLine(os, prefix, name() + "::mean", mean(), desc());
-    emitLine(os, prefix, name() + "::stddev", stddev(), desc());
-    emitLine(os, prefix, name() + "::min", min(), desc());
-    emitLine(os, prefix, name() + "::max", max(), desc());
-}
-
-void
-Distribution::reset()
-{
-    n = 0;
-    runningMean = 0;
-    m2 = 0;
-    _min = 0;
-    _max = 0;
-}
-
 double
 TimeSeries::total() const
 {
@@ -142,12 +89,6 @@ TimeSeries::dump(std::ostream &os, const std::string &prefix) const
         emitLine(os, prefix, label.str(), w.value, desc());
     }
     emitLine(os, prefix, name() + "::total", total(), desc());
-}
-
-void
-Formula::dump(std::ostream &os, const std::string &prefix) const
-{
-    emitLine(os, prefix, name(), fn(), desc());
 }
 
 Group::Group(Group *parent_group, std::string name)

@@ -11,7 +11,6 @@
 #define NETAFFINITY_STATS_STATS_HH
 
 #include <cstdint>
-#include <functional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -87,38 +86,6 @@ class Vector : public StatBase
     std::vector<double> values;
 };
 
-/** Running distribution: count/mean/stddev/min/max. */
-class Distribution : public StatBase
-{
-  public:
-    Distribution(Group *parent, std::string name, std::string desc)
-        : StatBase(parent, std::move(name), std::move(desc))
-    {
-    }
-
-    void sample(double v);
-
-    std::uint64_t count() const { return n; }
-    double mean() const { return n ? runningMean : 0.0; }
-    double variance() const;
-    double stddev() const;
-    double min() const { return n ? _min : 0.0; }
-    double max() const { return n ? _max : 0.0; }
-
-    void dump(std::ostream &os, const std::string &prefix) const override;
-    void reset() override;
-
-  private:
-    // Welford's online moments: the textbook sumSq - n*m^2 form
-    // cancels catastrophically for large-mean/small-spread samples
-    // (tick timestamps), yielding variance 0 or garbage.
-    std::uint64_t n = 0;
-    double runningMean = 0;
-    double m2 = 0; ///< sum of squared deviations from the running mean
-    double _min = 0;
-    double _max = 0;
-};
-
 /**
  * A sequence of per-window values over simulated time: the interval
  * recorder's building block. Each record() closes one window
@@ -158,26 +125,6 @@ class TimeSeries : public StatBase
 
   private:
     std::vector<Window> series;
-};
-
-/** A derived statistic evaluated at dump time. */
-class Formula : public StatBase
-{
-  public:
-    Formula(Group *parent, std::string name, std::string desc,
-            std::function<double()> fn)
-        : StatBase(parent, std::move(name), std::move(desc)),
-          fn(std::move(fn))
-    {
-    }
-
-    double value() const { return fn(); }
-
-    void dump(std::ostream &os, const std::string &prefix) const override;
-    void reset() override {}
-
-  private:
-    std::function<double()> fn;
 };
 
 /**

@@ -1,7 +1,8 @@
 /**
  * @file
  * Campaign engine: parallel determinism, submission-order collection,
- * sweep construction, and the JSON results round trip.
+ * sweep construction, the results round trip through the JSONL
+ * reader, and the bytes of the write-only campaign document.
  */
 
 #include <gtest/gtest.h>
@@ -11,9 +12,12 @@
 #include <sstream>
 
 #include "src/core/campaign.hh"
+#include "src/core/json.hh"
+#include "src/core/point_key.hh"
 #include "src/core/results_json.hh"
 #include "src/core/sweep.hh"
 #include "src/sim/logging.hh"
+#include "tests/jsonl_roundtrip.hh"
 
 using namespace na;
 
@@ -247,16 +251,12 @@ TEST(ResultsJson, RoundTripsThroughputUtilAndCounters)
     opts.seed = 123;
     const core::ResultSet rs = core::Campaign::run(tinyPoints(), opts);
 
-    std::stringstream ss;
-    core::writeResultsJson(ss, rs);
-
-    const core::JsonCampaign parsed = core::readResultsJson(ss);
-    EXPECT_EQ(parsed.campaignSeed, 123u);
-    EXPECT_EQ(parsed.threads, 2);
-    ASSERT_EQ(parsed.points.size(), rs.size());
+    const std::vector<core::JsonRunRecord> parsed =
+        test::jsonlRoundTrip(rs);
+    ASSERT_EQ(parsed.size(), rs.size());
 
     for (std::size_t i = 0; i < rs.size(); ++i) {
-        const core::JsonRunRecord &rec = parsed.points[i];
+        const core::JsonRunRecord &rec = parsed[i];
         const core::CampaignPoint &p = rs.point(i);
         const core::RunResult &r = rs.result(i);
 
@@ -318,12 +318,10 @@ TEST(ResultsJson, RoundTripsSteeringPolicyAndQueueCounters)
     opts.numThreads = 1;
     const core::ResultSet rs = core::Campaign::run(points, opts);
 
-    std::stringstream ss;
-    core::writeResultsJson(ss, rs);
-    const core::JsonCampaign parsed = core::readResultsJson(ss);
-
-    ASSERT_EQ(parsed.points.size(), 1u);
-    const core::JsonRunRecord &rec = parsed.points[0];
+    const std::vector<core::JsonRunRecord> parsed =
+        test::jsonlRoundTrip(rs);
+    ASSERT_EQ(parsed.size(), 1u);
+    const core::JsonRunRecord &rec = parsed[0];
     EXPECT_EQ(rec.steering, "rss");
     EXPECT_EQ(rec.queues, 2);
     ASSERT_EQ(rec.result.rxFramesPerQueue.size(), 2u);
@@ -381,11 +379,10 @@ TEST(ResultsJson, RoundTripsIntervalSeries)
     const prof::IntervalSeries &orig = rs.result(0).intervals;
     ASSERT_FALSE(orig.empty());
 
-    std::stringstream ss;
-    core::writeResultsJson(ss, rs);
-    const core::JsonCampaign parsed = core::readResultsJson(ss);
-    ASSERT_EQ(parsed.points.size(), 1u);
-    const prof::IntervalSeries &got = parsed.points[0].result.intervals;
+    const std::vector<core::JsonRunRecord> parsed =
+        test::jsonlRoundTrip(rs);
+    ASSERT_EQ(parsed.size(), 1u);
+    const prof::IntervalSeries &got = parsed[0].result.intervals;
 
     EXPECT_EQ(got.intervalTicks, orig.intervalTicks);
     EXPECT_EQ(got.numCpus, orig.numCpus);
@@ -398,13 +395,6 @@ TEST(ResultsJson, RoundTripsIntervalSeries)
         EXPECT_EQ(got.windows[w].rxFramesPerQueue,
                   orig.windows[w].rxFramesPerQueue);
     }
-
-    // A v2 document (no intervals block) still parses, with an empty
-    // series.
-    std::stringstream v2(
-        "{\"schema_version\": 2, \"campaign_seed\": 1, \"threads\": 1, "
-        "\"points\": []}");
-    EXPECT_EQ(core::readResultsJson(v2).points.size(), 0u);
 }
 
 TEST(ResultsJson, RoundTripSurvivesCommaDecimalLocale)
@@ -427,20 +417,18 @@ TEST(ResultsJson, RoundTripSurvivesCommaDecimalLocale)
     points.resize(1);
     const core::ResultSet rs = core::Campaign::run(points, opts);
 
-    std::stringstream ss;
-    core::writeResultsJson(ss, rs);
-    core::JsonCampaign parsed;
+    std::vector<core::JsonRunRecord> parsed;
     try {
-        parsed = core::readResultsJson(ss);
+        parsed = test::jsonlRoundTrip(rs);
     } catch (...) {
         std::setlocale(LC_NUMERIC, saved.c_str());
         throw;
     }
     std::setlocale(LC_NUMERIC, saved.c_str());
 
-    ASSERT_EQ(parsed.points.size(), 1u);
+    ASSERT_EQ(parsed.size(), 1u);
     const core::RunResult &r = rs.result(0);
-    const core::RunResult &got = parsed.points[0].result;
+    const core::RunResult &got = parsed[0].result;
     EXPECT_EQ(got.seconds, r.seconds);
     EXPECT_EQ(got.throughputMbps, r.throughputMbps);
     EXPECT_EQ(got.cpuUtil, r.cpuUtil);
@@ -448,15 +436,52 @@ TEST(ResultsJson, RoundTripSurvivesCommaDecimalLocale)
     ASSERT_GT(r.cpuUtil, 0.0); // a zero would mask the stod failure
 }
 
-TEST(ResultsJson, RejectsMalformedInput)
+TEST(ResultsJson, DocumentPointsAreTheJsonlRecords)
 {
-    std::stringstream notJson("this is not json");
-    EXPECT_THROW(core::readResultsJson(notJson), std::runtime_error);
+    // The document is write-only: pin its bytes to the JSONL records
+    // the engine does read back. Each point line is the record line
+    // minus its schema and point_key fields.
+    core::Campaign::Options opts;
+    opts.numThreads = 1;
+    opts.seed = 9;
+    std::vector<core::CampaignPoint> points = tinyPoints();
+    const core::ResultSet rs = core::Campaign::run(points, opts);
+    core::Campaign::applyPointSeeds(points, opts);
+    const std::vector<std::uint64_t> keys =
+        core::Campaign::pointKeys(points);
 
-    std::stringstream wrongVersion(
-        "{\"schema_version\": 99, \"campaign_seed\": 0, \"threads\": 1, "
-        "\"points\": []}");
-    EXPECT_THROW(core::readResultsJson(wrongVersion), std::runtime_error);
+    std::ostringstream doc;
+    core::writeResultsJson(doc, rs);
+    const core::json::Value root = core::json::parse(doc.str());
+    ASSERT_TRUE(root.isObject());
+    EXPECT_EQ(root.integer<int>("schema_version"), 6);
+    EXPECT_EQ(root.u64("campaign_seed"), 9u);
+    EXPECT_EQ(root.integer<int>("threads"), rs.threadsUsed);
+    ASSERT_EQ(root.field("points").items.size(), rs.size());
+
+    std::istringstream lines(doc.str());
+    std::string line;
+    std::size_t i = 0;
+    while (std::getline(lines, line)) {
+        if (line.rfind("    {", 0) != 0)
+            continue; // the pretty-printed top level
+        ASSERT_LT(i, rs.size());
+        line = line.substr(4);
+        if (line.back() == ',')
+            line.pop_back();
+        std::ostringstream rec;
+        core::writeJsonlRecord(rec, rs.point(i), rs.result(i), keys[i]);
+        std::string expect = rec.str();
+        expect.pop_back(); // the newline
+        const std::string prefix = "{\"schema\": 6, \"point_key\": \"" +
+                                   core::formatPointKey(keys[i]) +
+                                   "\", ";
+        ASSERT_EQ(expect.rfind(prefix, 0), 0u) << expect;
+        EXPECT_EQ(line, "{" + expect.substr(prefix.size()))
+            << "point " << i;
+        ++i;
+    }
+    EXPECT_EQ(i, rs.size());
 }
 
 TEST(ResultSet, LookupFailuresAreDescriptive)

@@ -2,8 +2,8 @@
  * @file
  * Fault-injection subsystem and hardened campaign engine: plan
  * validation, event-queue stall guard, seeded fault-sweep determinism,
- * graceful degradation into PointFailure records, and the schema-v4
- * JSON round trip of degraded points.
+ * graceful degradation into PointFailure records, and the results
+ * round trip of degraded points.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include "src/core/sweep.hh"
 #include "src/core/system.hh"
 #include "src/sim/event_queue.hh"
+#include "tests/jsonl_roundtrip.hh"
 
 using namespace na;
 
@@ -346,9 +347,10 @@ TEST(ResultsJsonV5, DegradedPointsRoundTripWithFaultLabel)
                             std::to_string(core::resultsSchemaVersion)),
               std::string::npos);
 
-    const core::JsonCampaign parsed = core::readResultsJson(ss);
-    ASSERT_EQ(parsed.points.size(), 1u);
-    const core::JsonRunRecord &rec = parsed.points[0];
+    const std::vector<core::JsonRunRecord> parsed =
+        test::jsonlRoundTrip(rs);
+    ASSERT_EQ(parsed.size(), 1u);
+    const core::JsonRunRecord &rec = parsed[0];
     EXPECT_EQ(rec.faults, "blackhole");
     EXPECT_TRUE(rec.result.failed);
     EXPECT_EQ(rec.result.failure.reason, rs.result(0).failure.reason);

@@ -154,8 +154,8 @@ TEST(PointKey, ParseRejectsMalformedHex)
 
 TEST(PointKey, HashNeverReturnsZero)
 {
-    // 0 is reserved as "no key" (converted records); the hash remaps
-    // it rather than ever emitting it.
+    // The JSONL reader rejects a zero point_key as corrupt, so the
+    // hash remaps 0 rather than ever emitting it.
     EXPECT_NE(core::hashCanonicalText(""), 0u);
     EXPECT_NE(core::hashCanonicalText("x"), 0u);
 }

@@ -39,6 +39,7 @@
 #include "src/net/wire.hh"
 #include "src/os/exec_context.hh"
 #include "src/os/kernel.hh"
+#include "tests/jsonl_roundtrip.hh"
 
 using namespace na;
 using namespace na::net;
@@ -531,9 +532,10 @@ TEST(ReorderResults, ReorderBlockRoundTripsThroughJson)
     EXPECT_NE(text.find("\"reorder\""), std::string::npos);
     EXPECT_NE(text.find("\"flow_learn_drops\""), std::string::npos);
 
-    const core::JsonCampaign parsed = core::readResultsJson(ss);
-    ASSERT_EQ(parsed.points.size(), 2u);
-    const core::ReorderStats &ro = parsed.points[0].result.reorder;
+    const std::vector<core::JsonRunRecord> parsed =
+        test::jsonlRoundTrip(rs);
+    ASSERT_EQ(parsed.size(), 2u);
+    const core::ReorderStats &ro = parsed[0].result.reorder;
     EXPECT_EQ(ro.oooArrivals, 7u);
     EXPECT_EQ(ro.oooWindows, 2u);
     EXPECT_EQ(ro.oooWindowTicks, 81'000u);
@@ -543,8 +545,8 @@ TEST(ReorderResults, ReorderBlockRoundTripsThroughJson)
     EXPECT_EQ(ro.retransmits, 3u);
     EXPECT_EQ(ro.spuriousRetransmits, 2u);
     EXPECT_EQ(ro.senderHops, 40u);
-    EXPECT_EQ(parsed.points[0].result.flows.flowLearnDrops, 3u);
-    EXPECT_FALSE(parsed.points[1].result.reorder.any());
+    EXPECT_EQ(parsed[0].result.flows.flowLearnDrops, 3u);
+    EXPECT_FALSE(parsed[1].result.reorder.any());
 }
 
 } // namespace

@@ -1,8 +1,8 @@
 /**
  * @file
- * Streaming JSONL results: campaign streaming, the shared v2-v5
- * record ladder, crash tolerance, resume semantics, and shard merge
- * byte-identity with an unsharded run.
+ * Streaming JSONL results: campaign streaming, the schema 5/6 record
+ * reader and the writer rules it checks, crash tolerance, resume
+ * semantics, and shard merge byte-identity with an unsharded run.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +10,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "src/core/campaign.hh"
 #include "src/core/point_key.hh"
@@ -68,17 +70,18 @@ documentBytes(const core::ResultSet &rs)
     return os.str();
 }
 
-/** A complete minimal record body shared by the ladder tests. */
+/** A complete minimal schema-5 record body shared by the tests. */
 const char *const recordBody =
-    "\"label\": \"L\", \"config\": {\"mode\": \"tx\", "
-    "\"msg_size\": 1024, \"affinity\": \"full\", "
+    "\"label\": \"L\", \"config\": {\"workload\": \"ttcp\", "
+    "\"mode\": \"tx\", \"msg_size\": 1024, \"affinity\": \"full\", "
     "\"connections\": 2, \"cpus\": 2, \"seed\": 99, "
-    "\"steering\": \"static\", \"queues\": 1}, "
+    "\"steering\": \"static\", \"queues\": 1, \"faults\": \"off\"}, "
     "\"result\": {\"seconds\": 0.5, \"payload_bytes\": 1000, "
     "\"throughput_mbps\": 16.5, \"cpu_util\": 0.5, "
     "\"ghz_per_gbps\": 1.25, \"util_per_cpu\": [0.5, 0.5], "
     "\"irqs\": 10, \"ipis\": 2, \"migrations\": 1, "
-    "\"context_switches\": 5, \"rx_frames_per_queue\": [3], "
+    "\"context_switches\": 5, \"tx_drops_ring_full\": 0, "
+    "\"rx_drops_ring_full\": 0, \"rx_frames_per_queue\": [3], "
     "\"event_totals\": {}}";
 
 TEST(ResultsJsonl, CampaignStreamsOneRecordPerPoint)
@@ -113,34 +116,43 @@ TEST(ResultsJsonl, CampaignStreamsOneRecordPerPoint)
     }
 }
 
-TEST(ResultsJsonl, MonolithicAndJsonlReadersAgreeAcrossLadder)
+TEST(ResultsJsonl, OnlySchemaTokensFiveAndSixParse)
 {
-    // The same v2-v6 record payload must parse identically whichever
-    // container carried it (per-file schema_version vs per-line
-    // schema token).
-    for (int version = 2; version <= core::resultsSchemaVersion;
-         ++version) {
-        std::ostringstream mono;
-        mono << "{\"schema_version\": " << version
-             << ", \"campaign_seed\": 1, \"threads\": 1, "
-             << "\"points\": [{" << recordBody << "}]}";
-        std::istringstream mono_in(mono.str());
-        const core::JsonCampaign doc =
-            core::readResultsJson(mono_in);
-        ASSERT_EQ(doc.points.size(), 1u) << "version " << version;
-
+    // Streams began at schema 5, and v6 only added optional fields,
+    // so both tokens read the same payload. Earlier tokens were never
+    // streamed and, like later ones, are refused with the line.
+    core::JsonRunRecord first;
+    for (int version = 2; version <= 7; ++version) {
+        SCOPED_TRACE("schema " + std::to_string(version));
         std::ostringstream line;
         line << "{\"schema\": " << version
              << ", \"point_key\": \"00000000000000aa\", "
              << recordBody << "}\n";
-        std::istringstream jsonl_in(line.str());
-        const core::JsonlFile file = core::readResultsJsonl(jsonl_in);
-        ASSERT_EQ(file.records.size(), 1u) << "version " << version;
+        std::istringstream in(line.str());
+        if (version != 5 && version != 6) {
+            try {
+                (void)core::readResultsJsonl(in);
+                ADD_FAILURE() << "expected std::runtime_error";
+            } catch (const std::runtime_error &e) {
+                const std::string msg = e.what();
+                EXPECT_NE(msg.find("line 1"), std::string::npos) << msg;
+                EXPECT_NE(msg.find("unsupported schema token " +
+                                   std::to_string(version)),
+                          std::string::npos)
+                    << msg;
+            }
+            continue;
+        }
+        const core::JsonlFile file = core::readResultsJsonl(in);
+        ASSERT_EQ(file.records.size(), 1u);
         EXPECT_EQ(file.records[0].schemaVersion, version);
         EXPECT_EQ(file.records[0].key, 0xaau);
-
-        const core::JsonRunRecord &a = doc.points[0];
         const core::JsonRunRecord &b = file.records[0].rec;
+        if (version == 5) {
+            first = b;
+            continue;
+        }
+        const core::JsonRunRecord &a = first;
         EXPECT_EQ(a.label, b.label);
         EXPECT_EQ(a.workload, b.workload);
         EXPECT_EQ(a.mode, b.mode);
@@ -272,22 +284,14 @@ TEST(ResultsJsonl, IntegerFieldsAreRangeChecked)
             "{\"schema\": 6, \"point_key\": \"0000000000000001\", " +
                 body + "}\n",
             "schema", schema ? c.value : "6"));
-        std::istringstream doc(
-            "{\"schema_version\": 6, \"campaign_seed\": 1, "
-            "\"threads\": 1, \"points\": [{" +
-            body + "}]}\n");
         if (c.ok) {
             const core::JsonlFile file = core::readResultsJsonl(jsonl);
             ASSERT_EQ(file.records.size(), 1u);
-            const core::JsonCampaign campaign = core::readResultsJson(doc);
-            ASSERT_EQ(campaign.points.size(), 1u);
-            for (const core::JsonRunRecord &rec :
-                 {file.records[0].rec, campaign.points[0]}) {
-                EXPECT_EQ(rec.cpus, 2);
-                EXPECT_EQ(rec.seed, std::string(c.field) == "seed"
-                                        ? 9007199254740993ull
-                                        : 99ull);
-            }
+            const core::JsonRunRecord &rec = file.records[0].rec;
+            EXPECT_EQ(rec.cpus, 2);
+            EXPECT_EQ(rec.seed, std::string(c.field) == "seed"
+                                    ? 9007199254740993ull
+                                    : 99ull);
             continue;
         }
         try {
@@ -304,9 +308,92 @@ TEST(ResultsJsonl, IntegerFieldsAreRangeChecked)
                 token = token.substr(1, token.size() - 2);
             EXPECT_NE(msg.find(token), std::string::npos) << msg;
         }
-        if (!schema) {
-            EXPECT_THROW((void)core::readResultsJson(doc),
-                         std::runtime_error);
+    }
+}
+
+/** recordBody as schema 6, with a reorder block and an intervals
+ *  block: every list the reader checks is present. */
+std::string
+richRecordLine()
+{
+    std::string body(recordBody);
+    const std::string tail = "\"event_totals\": {}}";
+    body.replace(body.find(tail), tail.size(),
+                 "\"reorder\": {\"ooo_arrivals\": 3, "
+                 "\"ooo_windows\": 1, \"ooo_window_ticks\": 500, "
+                 "\"ooo_depth_hist\": [3, 0, 0, 0, 0, 0, 0, 0], "
+                 "\"dup_ack_bursts\": 1, \"retransmits\": 1, "
+                 "\"spurious_retransmits\": 1, \"sender_hops\": 0}, "
+                 "\"intervals\": {\"interval_ticks\": 1000, "
+                 "\"num_cpus\": 2, \"num_queues\": 1, \"windows\": "
+                 "[{\"start\": 0, \"end\": 1000, "
+                 "\"rx_frames_per_queue\": [7], \"deltas\": [1, 2]}]}, " +
+                     tail);
+    return "{\"schema\": 6, \"point_key\": \"0000000000000001\", " +
+           body + "}\n";
+}
+
+TEST(ResultsJsonl, MalformedFieldsAreRejected)
+{
+    // Every rule the writer follows is a reader check: a record that
+    // breaks one throws naming the line and the field, instead of
+    // reading as zeros or as an unknown token.
+    struct Case
+    {
+        const char *field;
+        std::vector<std::pair<std::string, std::string>> edits;
+    };
+    const Case cases[] = {
+        {"util_per_cpu",
+         {{"[0.5, 0.5]", "[\"junk\", {}]"}}},
+        {"util_per_cpu", {{"[0.5, 0.5]", "[0.5]"}}},
+        {"util_per_cpu", {{"[0.5, 0.5]", "[0.5, 0.5, 0.5]"}}},
+        {"util_per_cpu", {{"[0.5, 0.5]", "\"notalist\""}}},
+        {"util_per_cpu",
+         {{"\"cpus\": 2", "\"cpus\": 9"},
+          {"[0.5, 0.5]", "[0, 0, 0, 0, 0, 0, 0, 0, 0]"}}},
+        {"rx_frames_per_queue", {{"[3]", "\"notalist\""}}},
+        {"rx_frames_per_queue", {{"[7]", "7"}}},
+        {"deltas", {{"[1, 2]", "\"x\""}}},
+        {"ooo_depth_hist",
+         {{"[3, 0, 0, 0, 0, 0, 0, 0]", "[3, 0, 0, 0, 0, 0, 0, 0, 0, 0]"}}},
+        {"ooo_depth_hist",
+         {{"[3, 0, 0, 0, 0, 0, 0, 0]", "[3, 0, 0, 0, 0, 0, 0]"}}},
+        {"event_totals",
+         {{"\"event_totals\": {}", "\"event_totals\": []"}}},
+        {"workload", {{"\"ttcp\"", "\"zzz\""}}},
+        {"steering", {{"\"static\"", "\"bogus\""}}},
+        {"workload", {{"\"workload\": \"ttcp\", ", ""}}},
+        {"faults", {{", \"faults\": \"off\"", ""}}},
+        {"tx_drops_ring_full", {{"\"tx_drops_ring_full\": 0, ", ""}}},
+        {"rx_drops_ring_full", {{"\"rx_drops_ring_full\": 0, ", ""}}},
+        {"point_key", {{"0000000000000001", "0000000000000000"}}},
+    };
+    {
+        std::istringstream in(richRecordLine());
+        const core::JsonlFile file = core::readResultsJsonl(in);
+        ASSERT_EQ(file.records.size(), 1u);
+        EXPECT_EQ(file.records[0].rec.result.reorder.oooDepthHist[0], 3u);
+        ASSERT_EQ(file.records[0].rec.result.intervals.windows.size(), 1u);
+    }
+    for (const Case &c : cases) {
+        std::string line = richRecordLine();
+        for (const auto &[from, to] : c.edits) {
+            const std::size_t at = line.find(from);
+            ASSERT_NE(at, std::string::npos) << from;
+            line.replace(at, from.size(), to);
+        }
+        SCOPED_TRACE(line);
+        std::istringstream in(line);
+        try {
+            (void)core::readResultsJsonl(in);
+            ADD_FAILURE() << c.field << ": expected std::runtime_error";
+        } catch (const std::runtime_error &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find("line 1"), std::string::npos) << msg;
+            EXPECT_NE(msg.find(std::string("'") + c.field + "'"),
+                      std::string::npos)
+                << msg;
         }
     }
 }
@@ -508,29 +595,6 @@ TEST(ResultsJsonl, AssembleThrowsOnMissingPoints)
         EXPECT_NE(msg.find(points[1].label), std::string::npos)
             << msg;
     }
-}
-
-TEST(ResultsJsonl, MonolithicConvertersRoundTrip)
-{
-    core::Campaign::Options opts;
-    opts.numThreads = 1;
-    const core::ResultSet rs = core::Campaign::run(tinyPoints(), opts);
-    const std::string doc = documentBytes(rs);
-
-    // monolithic -> records -> monolithic is byte-identical: both
-    // writers share the record emitter.
-    std::istringstream in(doc);
-    const core::JsonCampaign parsed = core::readResultsJson(in);
-    const std::vector<core::JsonlRecord> records =
-        core::recordsFromMonolithic(parsed);
-    ASSERT_EQ(records.size(), rs.size());
-    for (const core::JsonlRecord &r : records)
-        EXPECT_EQ(r.key, 0u) << "converted records carry no key";
-
-    std::ostringstream out;
-    core::writeMonolithicFromRecords(out, parsed.campaignSeed,
-                                     parsed.threads, records);
-    EXPECT_EQ(out.str(), doc);
 }
 
 TEST(ResultsJsonl, JsonlStreamedDocumentMatchesMonolithic)
