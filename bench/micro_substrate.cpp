@@ -13,10 +13,12 @@
 #include "src/analysis/spearman.hh"
 #include "src/core/campaign.hh"
 #include "src/core/sweep.hh"
+#include "src/cpu/core.hh"
 #include "src/mem/cache.hh"
 #include "src/mem/hierarchy.hh"
 #include "src/mem/tlb.hh"
 #include "src/net/tcp_connection.hh"
+#include "src/prof/accounting.hh"
 #include "src/sim/event_queue.hh"
 #include "src/sim/logging.hh"
 #include "src/sim/random.hh"
@@ -162,6 +164,50 @@ BM_CacheHierarchyCopy(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 3 * (bytes / 64));
 }
 BENCHMARK(BM_CacheHierarchyCopy);
+
+/**
+ * One ttcp-shaped charge on CPU 0 of a 2-CPU platform: a socket-struct
+ * write plus a 1448 B (one MSS) copy range that walks a 64 KB buffer.
+ * This is the cpu:: layer's per-charge host cost on its own: code side,
+ * the inlined hierarchy walk, DTLB, roll-up and the accounting row.
+ * Items are charges.
+ */
+void
+BM_CoreCharge(benchmark::State &state)
+{
+    const cpu::PlatformConfig platform;
+    mem::SnoopDomain domain(platform.memTiming);
+    stats::Group root(nullptr, "");
+    prof::BinAccounting accounting(platform.numCpus);
+    cpu::Core c0(&root, "cpu0", 0, platform, domain, accounting);
+    cpu::Core c1(&root, "cpu1", 1, platform, domain, accounting);
+    c0.setPeers({&c0, &c1});
+    c1.setPeers({&c0, &c1});
+    c0.setBusy(true);
+    constexpr std::uint32_t mss = 1448;
+    constexpr std::uint64_t bufferSlots = 64 * 1024 / mss;
+    const sim::Addr sock =
+        mem::AddressAllocator::regionBase(mem::Region::KernelData);
+    const sim::Addr buffer =
+        mem::AddressAllocator::regionBase(mem::Region::UserData);
+    std::array<cpu::MemTouch, 2> touches{{{sock, 64, true},
+                                          {buffer, mss, false}}};
+    cpu::ChargeSpec spec;
+    spec.func = prof::FuncId::CopyFromUser;
+    spec.instructions = 1500;
+    spec.overlap = 0.3;
+    spec.touches = touches;
+    std::uint64_t slot = 0;
+    sim::Tick cycles = 0;
+    for (auto _ : state) {
+        touches[1].addr = buffer + (slot++ % bufferSlots) * mss;
+        c0.beginDispatch();
+        cycles += c0.charge(spec).cycles;
+    }
+    benchmark::DoNotOptimize(cycles);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CoreCharge);
 
 void
 BM_TlbAccess(benchmark::State &state)

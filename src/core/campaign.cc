@@ -165,7 +165,7 @@ Campaign::pointKeys(const std::vector<CampaignPoint> &points)
         std::string text = canonicalPointText(points[i].config,
                                               points[i].schedule);
         keys[i] = hashCanonicalText(text);
-        registry.add(keys[i], std::move(text), i);
+        registry.add(keys[i], std::move(text));
     }
     return keys;
 }

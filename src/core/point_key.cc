@@ -99,23 +99,21 @@ parsePointKey(const std::string &text)
     return key;
 }
 
-PointKeyRegistry::Entry
-PointKeyRegistry::add(std::uint64_t key, std::string canonical_text,
-                      std::size_t index)
+void
+PointKeyRegistry::add(std::uint64_t key, std::string canonical_text)
 {
-    auto it = entries.find(key);
-    if (it == entries.end()) {
-        entries.emplace(key, Slot{std::move(canonical_text), index});
-        return Entry{index, false};
+    auto it = texts.find(key);
+    if (it == texts.end()) {
+        texts.emplace(key, std::move(canonical_text));
+        return;
     }
-    if (it->second.text != canonical_text) {
-        throw std::runtime_error(sim::format(
-            "point key collision: %s identifies both\n  '%s'\nand\n"
-            "  '%s'\n— refusing to dedupe/resume across it",
-            formatPointKey(key).c_str(), it->second.text.c_str(),
-            canonical_text.c_str()));
-    }
-    return Entry{it->second.firstIndex, true};
+    if (it->second == canonical_text)
+        return;
+    throw std::runtime_error(sim::format(
+        "point key collision: %s identifies both\n  '%s'\nand\n"
+        "  '%s'\n— refusing to dedupe/resume across it",
+        formatPointKey(key).c_str(), it->second.c_str(),
+        canonical_text.c_str()));
 }
 
 } // namespace na::core

@@ -27,10 +27,9 @@
  * not reuse an old resume file (documented in DESIGN.md §15).
  *
  * PointKeyRegistry is the collision checker: it remembers the
- * canonical text behind every key it has seen, flags identical points
- * as duplicates, and throws on the (astronomically unlikely, but
- * silently catastrophic if ignored) event of two different texts
- * hashing to the same key.
+ * canonical text behind every key it has seen and throws on the
+ * (astronomically unlikely, but silently catastrophic if ignored)
+ * event of two different texts hashing to the same key.
  */
 
 #ifndef NETAFFINITY_CORE_POINT_KEY_HH
@@ -68,41 +67,24 @@ std::string formatPointKey(std::uint64_t key);
  */
 std::uint64_t parsePointKey(const std::string &text);
 
-/**
- * Key -> canonical-text registry with collision detection and
- * duplicate-point identification.
- */
+/** Key -> canonical-text registry that detects hash collisions. */
 class PointKeyRegistry
 {
   public:
-    struct Entry
-    {
-        /** Index passed with the first registration of this key. */
-        std::size_t firstIndex = 0;
-        /** True if the key was already registered (identical text). */
-        bool duplicate = false;
-    };
-
     /**
-     * Register @p key (hashing @p canonical_text) for point
-     * @p index.
+     * Register @p key, the hash of @p canonical_text. Registering the
+     * same text again is allowed (identical points share a key).
      * @throws std::runtime_error if the key is already registered
      *         with a *different* canonical text (a real hash
      *         collision — the caller must not dedupe or resume
      *         across it).
      */
-    Entry add(std::uint64_t key, std::string canonical_text,
-              std::size_t index);
+    void add(std::uint64_t key, std::string canonical_text);
 
-    std::size_t size() const { return entries.size(); }
+    std::size_t size() const { return texts.size(); }
 
   private:
-    struct Slot
-    {
-        std::string text;
-        std::size_t firstIndex;
-    };
-    std::unordered_map<std::uint64_t, Slot> entries;
+    std::unordered_map<std::uint64_t, std::string> texts;
 };
 
 } // namespace na::core

@@ -409,15 +409,27 @@ parsePointRecord(const Value &pv)
         rec.result.reorder = readReorder(res.field("reorder"));
     if (res.has("intervals"))
         rec.result.intervals = readIntervals(res.field("intervals"));
+    // The writer emits exactly one entry per prof::Event.
     const Value &events = res.field("event_totals");
     if (!events.isObject())
         badField("event_totals", "is not an object");
     for (std::size_t e = 0; e < prof::numEvents; ++e) {
-        const auto ev = static_cast<prof::Event>(e);
-        auto it = events.fields.find(std::string(prof::eventName(ev)));
-        if (it != events.fields.end())
-            rec.result.eventTotals[e] =
-                it->second.as<std::uint64_t>(it->first);
+        const std::string name(prof::eventName(static_cast<prof::Event>(e)));
+        auto it = events.fields.find(name);
+        if (it == events.fields.end())
+            badField("event_totals", "has no entry '" + name + "'");
+        rec.result.eventTotals[e] = it->second.as<std::uint64_t>(name);
+    }
+    if (events.fields.size() != prof::numEvents) {
+        // Every event's entry was found, so some other entry is extra.
+        for (const auto &entry : events.fields) {
+            const std::string &name = entry.first;
+            if (std::none_of(prof::allEvents.begin(), prof::allEvents.end(),
+                             [&](prof::Event ev) {
+                                 return prof::eventName(ev) == name;
+                             }))
+                badField("event_totals", "has unknown entry '" + name + "'");
+        }
     }
     return rec;
 }

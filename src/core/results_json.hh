@@ -74,7 +74,9 @@
  *               ...
  *             ]
  *           },
- *           "event_totals": { "cycles": ..., "instructions": ..., ... }
+ *           "event_totals": {         // one entry per prof::Event
+ *             "cycles": ..., "instructions": ..., ...
+ *           }
  *         }
  *       }, ...
  *     ]

@@ -70,6 +70,35 @@ SystemConfig::validate() const
             "SystemConfig: platform.%s must be >= 1, got 0",
             platform.itlbEntries < 1 ? "itlbEntries" : "dtlbEntries"));
     }
+    // Charge-model rates: Core::charge truncates and rounds the
+    // expectations built from them, which needs finite values >= 0.
+    for (std::size_t b = 0; b < platform.intrinsicClearsPerKInstr.size();
+         ++b) {
+        const double rate = platform.intrinsicClearsPerKInstr[b];
+        if (!std::isfinite(rate) || rate < 0.0) {
+            throw std::runtime_error(sim::format(
+                "SystemConfig: platform.intrinsicClearsPerKInstr[%zu] "
+                "(%s) must be finite and >= 0, got %g",
+                b,
+                std::string(prof::binName(static_cast<prof::Bin>(b)))
+                    .c_str(),
+                rate));
+        }
+    }
+    if (!std::isfinite(platform.coldMispredictBoost) ||
+        platform.coldMispredictBoost < 0.0) {
+        throw std::runtime_error(sim::format(
+            "SystemConfig: platform.coldMispredictBoost must be finite "
+            "and >= 0, got %g",
+            platform.coldMispredictBoost));
+    }
+    if (!(platform.orderingClearProb >= 0.0 &&
+          platform.orderingClearProb <= 1.0)) {
+        throw std::runtime_error(sim::format(
+            "SystemConfig: platform.orderingClearProb must be a "
+            "probability in [0, 1], got %g",
+            platform.orderingClearProb));
+    }
     if (!(wireBitsPerSec > 0.0)) {
         throw std::runtime_error(sim::format(
             "SystemConfig: wireBitsPerSec must be positive, got %g "

@@ -1,8 +1,7 @@
 #include "src/cpu/core.hh"
 
-#include <cmath>
-
 #include "src/sim/logging.hh"
+#include "src/sim/round.hh"
 
 namespace na::cpu {
 
@@ -57,8 +56,6 @@ Core::charge(const ChargeSpec &spec)
     const prof::FuncDesc &desc = prof::funcDesc(spec.func);
     curFunc = spec.func;
 
-    ChargeResult res;
-
     // --- Code side: trace cache + ITLB -------------------------------
     std::uint64_t tc_misses = 0;
     std::uint64_t itlb_misses = 0;
@@ -66,20 +63,13 @@ Core::charge(const ChargeSpec &spec)
     const bool code_cold = tc_misses > 0;
 
     // --- Data side: cache hierarchy + DTLB ---------------------------
-    std::uint64_t stall = 0;
-    std::uint64_t llc_misses = 0;
-    std::uint64_t l2_misses = 0;
+    // One tally for every touch: the inlined walk adds into it.
+    mem::AccessResult data;
     std::uint64_t dtlb_misses = 0;
     for (const MemTouch &t : spec.touches) {
         if (t.bytes == 0)
             continue;
-        const mem::AccessResult ar =
-            hierarchy.access(t.addr, t.bytes, t.write, spec.overlap);
-        stall += ar.stallCycles;
-        llc_misses += ar.llcMisses;
-        l2_misses += ar.l2Misses;
-        for (std::size_t c = 0; c < mem::maxSmpCpus; ++c)
-            res.stolenFrom[c] += ar.stolenFrom[c];
+        hierarchy.accessInto(t.addr, t.bytes, t.write, spec.overlap, data);
         if (!mem::AddressAllocator::isUncacheable(t.addr)) {
             const sim::Addr lastb = t.addr + t.bytes - 1;
             for (sim::Addr page = t.addr >> mem::Tlb::pageShift;
@@ -89,6 +79,8 @@ Core::charge(const ChargeSpec &spec)
             }
         }
     }
+    const std::uint64_t llc_misses = data.llcMisses;
+    const std::uint64_t l2_misses = data.l2Misses;
 
     // --- Branches -----------------------------------------------------
     std::uint64_t branches;
@@ -107,7 +99,7 @@ Core::charge(const ChargeSpec &spec)
             rate *= config.coldMispredictBoost;
         const double expected = static_cast<double>(branches) * rate;
         mispredicts = static_cast<std::uint64_t>(expected);
-        if (rng.chance(expected - std::floor(expected)))
+        if (rng.chance(sim::fracPart(expected)))
             ++mispredicts;
         if (mispredicts > branches)
             mispredicts = branches;
@@ -122,7 +114,7 @@ Core::charge(const ChargeSpec &spec)
         const double expected =
             static_cast<double>(spec.instructions) * rate / 1000.0;
         clears += static_cast<std::uint64_t>(expected);
-        if (rng.chance(expected - std::floor(expected)))
+        if (rng.chance(sim::fracPart(expected)))
             ++clears;
     }
 
@@ -130,7 +122,7 @@ Core::charge(const ChargeSpec &spec)
     double cycles = static_cast<double>(spec.instructions) * desc.baseCpi;
     cycles += desc.serializeCycles;
     cycles += static_cast<double>(spec.extraCycles);
-    cycles += static_cast<double>(stall);
+    cycles += static_cast<double>(data.stallCycles);
     cycles += static_cast<double>(tc_misses) * config.tcMissPenalty;
     cycles += static_cast<double>(itlb_misses) * config.itlbWalkPenalty;
     cycles += static_cast<double>(dtlb_misses) * config.dtlbWalkPenalty;
@@ -144,8 +136,7 @@ Core::charge(const ChargeSpec &spec)
     pendingClearPenalty = 0;
     pendingClearCount = 0;
 
-    const auto cycles_i =
-        static_cast<sim::Tick>(std::llround(cycles));
+    const sim::Tick cycles_i = sim::roundHalfUp(cycles);
 
     // --- Post everything ------------------------------------------------
     counters.busyCycles += static_cast<double>(cycles_i);
@@ -159,25 +150,17 @@ Core::charge(const ChargeSpec &spec)
     counters.dtlbMisses += static_cast<double>(dtlb_misses);
     counters.machineClears += static_cast<double>(clears);
 
-    using prof::Event;
-    accounting.add(cpu, spec.func, Event::Cycles, cycles_i);
-    accounting.add(cpu, spec.func, Event::Instructions,
-                   spec.instructions);
-    accounting.add(cpu, spec.func, Event::Branches, branches);
-    accounting.add(cpu, spec.func, Event::BrMispredicts, mispredicts);
-    accounting.add(cpu, spec.func, Event::LlcMisses, llc_misses);
-    accounting.add(cpu, spec.func, Event::L2Misses, l2_misses);
-    accounting.add(cpu, spec.func, Event::TcMisses, tc_misses);
-    accounting.add(cpu, spec.func, Event::ItlbMisses, itlb_misses);
-    accounting.add(cpu, spec.func, Event::DtlbMisses, dtlb_misses);
-    accounting.add(cpu, spec.func, Event::MachineClears, clears);
+    accounting.addAll(cpu, spec.func,
+                      {cycles_i, spec.instructions, branches, mispredicts,
+                       llc_misses, l2_misses, tc_misses, itlb_misses,
+                       dtlb_misses, clears});
 
     // --- Coherence side effects on the victims ---------------------------
     for (Core *peer : peerCores) {
         if (!peer || peer == this)
             continue;
         const std::uint32_t stolen =
-            res.stolenFrom[static_cast<std::size_t>(peer->cpuId())];
+            data.stolenFrom[static_cast<std::size_t>(peer->cpuId())];
         if (stolen)
             peer->notifyLinesStolen(stolen);
     }
@@ -191,9 +174,11 @@ Core::charge(const ChargeSpec &spec)
     recentNext = (recentNext + 1) % recentRingSize;
 
     accumulated += cycles_i;
+    ChargeResult res;
     res.cycles = cycles_i;
     res.llcMisses = llc_misses;
     res.machineClears = clears;
+    res.stolenFrom = data.stolenFrom;
     return res;
 }
 

@@ -16,20 +16,11 @@ AddressAllocator::regionBase(Region region)
     return static_cast<sim::Addr>(region) * regionSize;
 }
 
-Region
-AddressAllocator::regionOf(sim::Addr addr)
+void
+AddressAllocator::outsideAllRegions(sim::Addr addr)
 {
-    const auto idx = addr / regionSize;
-    if (idx >= static_cast<sim::Addr>(Region::NumRegions))
-        sim::panic("address %llx outside all regions",
-                   (unsigned long long)addr);
-    return static_cast<Region>(idx);
-}
-
-bool
-AddressAllocator::isUncacheable(sim::Addr addr)
-{
-    return regionOf(addr) == Region::Mmio;
+    sim::panic("address %llx outside all regions",
+               (unsigned long long)addr);
 }
 
 sim::Addr

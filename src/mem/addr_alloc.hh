@@ -53,16 +53,30 @@ class AddressAllocator
     static sim::Addr regionBase(Region region);
 
     /** @return the region an address belongs to. */
-    static Region regionOf(sim::Addr addr);
+    static Region
+    regionOf(sim::Addr addr)
+    {
+        const sim::Addr idx = addr / regionSize;
+        if (idx >= static_cast<sim::Addr>(Region::NumRegions)) [[unlikely]]
+            outsideAllRegions(addr);
+        return static_cast<Region>(idx);
+    }
 
     /** @return true if accesses to this address bypass the caches. */
-    static bool isUncacheable(sim::Addr addr);
+    static bool
+    isUncacheable(sim::Addr addr)
+    {
+        return regionOf(addr) == Region::Mmio;
+    }
 
     /** @return bytes allocated so far in @p region. */
     std::uint64_t allocated(Region region) const;
 
   private:
     std::uint64_t cursor[static_cast<int>(Region::NumRegions)];
+
+    /** Panic: @p addr lies beyond the last region. */
+    [[noreturn]] static void outsideAllRegions(sim::Addr addr);
 };
 
 } // namespace na::mem

@@ -48,28 +48,6 @@ Cache::Cache(stats::Group *parent, const std::string &name,
 }
 
 Cache::Victim
-Cache::fill(sim::Addr addr, LineState state)
-{
-    // Invalid ways have lru 0 and valid stamps start at 1, so a strict
-    // min-scan picks the first Invalid way, else the LRU way.
-    Line *set = setOf(addr);
-    Line *target = set;
-    for (unsigned w = 1; w < assoc; ++w)
-        target = set[w].lru < target->lru ? &set[w] : target;
-
-    Victim victim;
-    victim.valid = target->tag != 0;
-    victim.lineAddr = target->tag & ~sim::Addr{1};
-    victim.dirty = target->state == LineState::Modified;
-    evictions += victim.valid;
-    writebacks += victim.dirty;
-    target->tag = lineAddr(addr) | 1;
-    target->state = state;
-    target->lru = ++lruCounter;
-    return victim;
-}
-
-Cache::Victim
 Cache::insert(sim::Addr addr, LineState state)
 {
     // Upgrade in place; never downgrade Modified to Shared here.
@@ -78,21 +56,6 @@ Cache::insert(sim::Addr addr, LineState state)
         return {};
     }
     return fill(addr, state);
-}
-
-Cache::FindOrInsertResult
-Cache::findOrInsert(sim::Addr addr, LineState state)
-{
-    FindOrInsertResult res;
-    if (Line *line = findLine(addr)) {
-        res.prev = line->state;
-        ++hits;
-        touch(*line, state);
-        return res;
-    }
-    ++misses;
-    res.victim = fill(addr, state);
-    return res;
 }
 
 void

@@ -1,7 +1,6 @@
 #include "src/mem/hierarchy.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "src/sim/logging.hh"
 
@@ -56,126 +55,6 @@ CacheHierarchy::upgradeLine(sim::Addr line_addr)
     } else {
         l3.setModifiedIfPresent(line_addr);
     }
-}
-
-AccessResult
-CacheHierarchy::access(sim::Addr addr, std::uint32_t bytes, bool write,
-                       double overlap)
-{
-    AccessResult res;
-    if (bytes == 0)
-        return res;
-    if (overlap <= 0.0 || overlap > 1.0)
-        sim::panic("access overlap factor %f out of (0,1]", overlap);
-
-    const unsigned line = lineBytes();
-    const sim::Addr first = addr / line * line;
-    const sim::Addr last = (addr + bytes - 1) / line * line;
-
-    if (AddressAllocator::isUncacheable(addr)) {
-        // Device registers: every access goes to the bus, serialized.
-        const std::uint32_t n =
-            static_cast<std::uint32_t>((last - first) / line + 1);
-        res.uncached = n;
-        res.lines = n;
-        res.stallCycles =
-            static_cast<std::uint64_t>(n) *
-            (write ? timing.uncachedWriteCycles : timing.uncachedCycles);
-        ++accesses;
-        stallCycleTotal += static_cast<double>(res.stallCycles);
-        return res;
-    }
-
-    double stall = 0.0;
-    for (sim::Addr la = first; la <= last; la += line) {
-        ++res.lines;
-        const LineState s1 = l1.lookup(la);
-        if (s1 != LineState::Invalid) {
-            ++res.l1Hits;
-            stall += timing.l1HitCycles;
-            if (write && s1 == LineState::Shared) {
-                // Ownership upgrade: invalidate remote copies.
-                domain.snoopWrite(cpu, la, res.stolenFrom);
-                upgradeLine(la);
-                ++res.upgrades;
-                stall += timing.upgradeCycles;
-            }
-            // A write hitting Modified needs no upgrade anywhere:
-            // every level holding a line holds it in the same state
-            // (fills, upgrades, downgrades, and invalidations all
-            // apply level-uniformly), so L2/L3 are Modified too.
-            continue;
-        }
-
-        const LineState s2 = l2.lookup(la);
-        if (s2 != LineState::Invalid) {
-            ++res.l2Hits;
-            stall += timing.l2HitCycles * overlap;
-            if (write && s2 == LineState::Shared) {
-                domain.snoopWrite(cpu, la, res.stolenFrom);
-                l2.setModified(la);
-                ++res.upgrades;
-                stall += timing.upgradeCycles;
-            }
-            // Inclusion: L3 holds the line and L1 does not. The lookup
-            // above already made it L2's MRU line, and one touch makes
-            // it L3's; only relative LRU order is observable.
-            const LineState s = write ? LineState::Modified : s2;
-            Cache::Line *line3 = l3.findLine(la);
-            if (!line3)
-                sim::panic("L2 hit on line %llx absent from L3",
-                           (unsigned long long)la);
-            l3.touch(*line3, s);
-            l1.fill(la, s);
-            continue;
-        }
-
-        // L2 miss: one walk of the L3 set both classifies the access
-        // (hit vs full miss) and performs the fill. Snoops never touch
-        // the local hierarchy, so filling L3 before the snoop below
-        // commutes with the old lookup-snoop-insert order.
-        ++res.l2Misses;
-        const auto r3 = l3.findOrInsert(
-            la, write ? LineState::Modified : LineState::Shared);
-        if (r3.hit()) {
-            ++res.l3Hits;
-            stall += timing.l3HitCycles * overlap;
-            if (write && r3.prev == LineState::Shared) {
-                domain.snoopWrite(cpu, la, res.stolenFrom);
-                ++res.upgrades;
-                stall += timing.upgradeCycles;
-            }
-            // A read of a dirty L3 line fills the inner levels
-            // Modified: every level holding a line holds it alike.
-            fillInner(la, write ? LineState::Modified : r3.prev);
-            continue;
-        }
-
-        // Full local miss: back-invalidate the L3 victim to preserve
-        // inclusion, snoop the other CPUs, then fill the inner levels.
-        ++res.llcMisses;
-        if (r3.victim.valid)
-            invalidateInner(r3.victim.lineAddr);
-        LineState remote;
-        if (write) {
-            remote = domain.snoopWrite(cpu, la, res.stolenFrom);
-        } else {
-            remote = domain.snoopRead(cpu, la);
-        }
-        if (remote != LineState::Invalid) {
-            ++res.remoteHits;
-            stall += timing.c2cCycles * overlap;
-        } else {
-            stall += timing.memCycles * overlap;
-        }
-        // Read fill is Shared (MSI; no E state — see DESIGN.md).
-        fillInner(la, write ? LineState::Modified : LineState::Shared);
-    }
-
-    res.stallCycles = static_cast<std::uint64_t>(std::llround(stall));
-    ++accesses;
-    stallCycleTotal += static_cast<double>(res.stallCycles);
-    return res;
 }
 
 LineState

@@ -20,6 +20,8 @@
 
 #include "src/mem/addr_alloc.hh"
 #include "src/mem/cache.hh"
+#include "src/sim/logging.hh"
+#include "src/sim/round.hh"
 #include "src/sim/types.hh"
 #include "src/stats/stats.hh"
 
@@ -60,7 +62,10 @@ struct CacheGeometry
     unsigned lineBytes = 64;
 };
 
-/** Outcome of one CPU access (possibly spanning many lines). */
+/**
+ * Counts of one CPU access (possibly spanning many lines), or the sum
+ * over several: CacheHierarchy::accessInto adds into one.
+ */
 struct AccessResult
 {
     std::uint32_t lines = 0;       ///< cache lines touched
@@ -72,7 +77,8 @@ struct AccessResult
     std::uint32_t remoteHits = 0;  ///< LLC misses served cache-to-cache
     std::uint32_t upgrades = 0;    ///< Shared->Modified transitions
     std::uint32_t uncached = 0;    ///< uncacheable (MMIO) accesses
-    std::uint64_t stallCycles = 0; ///< timing penalty, overlap applied
+    /** Timing penalty, overlap applied, rounded once per access. */
+    std::uint64_t stallCycles = 0;
     /** Per-CPU count of lines this access stole (invalidated). */
     std::array<std::uint32_t, maxSmpCpus> stolenFrom{};
 
@@ -111,14 +117,28 @@ class CacheHierarchy : public stats::Group
                    SnoopDomain &domain);
 
     /**
-     * Perform a CPU access of @p bytes at @p addr.
+     * Perform a CPU access of @p bytes at @p addr and add its counts
+     * into @p tally. This is the one per-line walk; it is forced inline
+     * so that Core::charge runs its touches without a call or a
+     * per-touch result.
      *
      * @param write true for stores
      * @param overlap miss-penalty scale factor in (0,1]; streaming
      *        copies use < 1 to model prefetch/MLP overlap
      */
-    AccessResult access(sim::Addr addr, std::uint32_t bytes, bool write,
-                        double overlap = 1.0);
+    [[gnu::always_inline]] inline void
+    accessInto(sim::Addr addr, std::uint32_t bytes, bool write,
+               double overlap, AccessResult &tally);
+
+    /** accessInto() for one access: @return its counts alone. */
+    AccessResult
+    access(sim::Addr addr, std::uint32_t bytes, bool write,
+           double overlap = 1.0)
+    {
+        AccessResult res;
+        accessInto(addr, bytes, write, overlap, res);
+        return res;
+    }
 
     /** @return coherence state of a line in this hierarchy (probe L3). */
     LineState probeLine(sim::Addr addr) const;
@@ -223,6 +243,128 @@ class SnoopDomain
     unsigned lineSize = 64;
     std::vector<CacheHierarchy *> all;
 };
+
+// The per-line walk lives in the header so Core::charge inlines it.
+
+inline void
+CacheHierarchy::accessInto(sim::Addr addr, std::uint32_t bytes, bool write,
+                           double overlap, AccessResult &res)
+{
+    if (bytes == 0)
+        return;
+    if (overlap <= 0.0 || overlap > 1.0)
+        sim::panic("access overlap factor %f out of (0,1]", overlap);
+
+    const unsigned line = lineBytes();
+    const sim::Addr first = addr / line * line;
+    const sim::Addr last = (addr + bytes - 1) / line * line;
+
+    if (AddressAllocator::isUncacheable(addr)) {
+        // Device registers: every access goes to the bus, serialized.
+        const std::uint32_t n =
+            static_cast<std::uint32_t>((last - first) / line + 1);
+        const std::uint64_t stall =
+            static_cast<std::uint64_t>(n) *
+            (write ? timing.uncachedWriteCycles : timing.uncachedCycles);
+        res.uncached += n;
+        res.lines += n;
+        res.stallCycles += stall;
+        ++accesses;
+        stallCycleTotal += static_cast<double>(stall);
+        return;
+    }
+
+    double stall = 0.0;
+    for (sim::Addr la = first; la <= last; la += line) {
+        ++res.lines;
+        const LineState s1 = l1.lookup(la);
+        if (s1 != LineState::Invalid) {
+            ++res.l1Hits;
+            stall += timing.l1HitCycles;
+            if (write && s1 == LineState::Shared) {
+                // Ownership upgrade: invalidate remote copies.
+                domain.snoopWrite(cpu, la, res.stolenFrom);
+                upgradeLine(la);
+                ++res.upgrades;
+                stall += timing.upgradeCycles;
+            }
+            // A write hitting Modified needs no upgrade anywhere:
+            // every level holding a line holds it in the same state
+            // (fills, upgrades, downgrades, and invalidations all
+            // apply level-uniformly), so L2/L3 are Modified too.
+            continue;
+        }
+
+        const LineState s2 = l2.lookup(la);
+        if (s2 != LineState::Invalid) {
+            ++res.l2Hits;
+            stall += timing.l2HitCycles * overlap;
+            if (write && s2 == LineState::Shared) {
+                domain.snoopWrite(cpu, la, res.stolenFrom);
+                l2.setModified(la);
+                ++res.upgrades;
+                stall += timing.upgradeCycles;
+            }
+            // Inclusion: L3 holds the line and L1 does not. The lookup
+            // above already made it L2's MRU line, and one touch makes
+            // it L3's; only relative LRU order is observable.
+            const LineState s = write ? LineState::Modified : s2;
+            Cache::Line *line3 = l3.findLine(la);
+            if (!line3)
+                sim::panic("L2 hit on line %llx absent from L3",
+                           (unsigned long long)la);
+            l3.touch(*line3, s);
+            l1.fill(la, s);
+            continue;
+        }
+
+        // L2 miss: one walk of the L3 set both classifies the access
+        // (hit vs full miss) and performs the fill. Snoops never touch
+        // the local hierarchy, so filling L3 before the snoop below
+        // commutes with the old lookup-snoop-insert order.
+        ++res.l2Misses;
+        const auto r3 = l3.findOrInsert(
+            la, write ? LineState::Modified : LineState::Shared);
+        if (r3.hit()) {
+            ++res.l3Hits;
+            stall += timing.l3HitCycles * overlap;
+            if (write && r3.prev == LineState::Shared) {
+                domain.snoopWrite(cpu, la, res.stolenFrom);
+                ++res.upgrades;
+                stall += timing.upgradeCycles;
+            }
+            // A read of a dirty L3 line fills the inner levels
+            // Modified: every level holding a line holds it alike.
+            fillInner(la, write ? LineState::Modified : r3.prev);
+            continue;
+        }
+
+        // Full local miss: back-invalidate the L3 victim to preserve
+        // inclusion, snoop the other CPUs, then fill the inner levels.
+        ++res.llcMisses;
+        if (r3.victim.valid)
+            invalidateInner(r3.victim.lineAddr);
+        LineState remote;
+        if (write) {
+            remote = domain.snoopWrite(cpu, la, res.stolenFrom);
+        } else {
+            remote = domain.snoopRead(cpu, la);
+        }
+        if (remote != LineState::Invalid) {
+            ++res.remoteHits;
+            stall += timing.c2cCycles * overlap;
+        } else {
+            stall += timing.memCycles * overlap;
+        }
+        // Read fill is Shared (MSI; no E state — see DESIGN.md).
+        fillInner(la, write ? LineState::Modified : LineState::Shared);
+    }
+
+    const std::uint64_t stall_cycles = sim::roundHalfUp(stall);
+    res.stallCycles += stall_cycles;
+    ++accesses;
+    stallCycleTotal += static_cast<double>(stall_cycles);
+}
 
 } // namespace na::mem
 

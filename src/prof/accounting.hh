@@ -24,7 +24,7 @@ namespace na::prof {
 
 /**
  * Observer of event postings (used by SampleProfiler).
- * Called synchronously from BinAccounting::add.
+ * Called synchronously from BinAccounting::add and addAll.
  */
 class Listener
 {
@@ -35,6 +35,9 @@ class Listener
     virtual void onEvents(sim::CpuId cpu, FuncId func, Event ev,
                           std::uint64_t count) = 0;
 };
+
+/** One count per Event, indexed by the Event's value. */
+using EventCounts = std::array<std::uint64_t, numEvents>;
 
 /** The exact event matrix. */
 class BinAccounting
@@ -53,6 +56,28 @@ class BinAccounting
         counts[index(cpu, func, ev)] += count;
         if (listener)
             listener->onEvents(cpu, func, ev, count);
+    }
+
+    /**
+     * Post one count per event, all attributed to @p func: the same
+     * matrix and the same listener calls (zero counts skipped, in
+     * Event order) as one add() per event.
+     */
+    void
+    addAll(sim::CpuId cpu, FuncId func, const EventCounts &row)
+    {
+        if (cpu < 0 || cpu >= nCpus)
+            sim::panic("BinAccounting::addAll: bad cpu %d", cpu);
+        std::uint64_t *cells = &counts[index(cpu, func, Event{})];
+        for (std::size_t e = 0; e < numEvents; ++e)
+            cells[e] += row[e];
+        if (!listener)
+            return;
+        for (std::size_t e = 0; e < numEvents; ++e) {
+            if (row[e])
+                listener->onEvents(cpu, func, static_cast<Event>(e),
+                                   row[e]);
+        }
     }
 
     /** @return exact count for one (cpu, func, event) cell. */

@@ -1,29 +1,15 @@
 #include "src/prof/func_registry.hh"
 
-#include <array>
-
 #include "src/sim/logging.hh"
 
 namespace na::prof {
 
-namespace {
+using detail::funcTable;
 
-constexpr std::array<FuncDesc, numFuncs> funcTable = {{
-#define NA_FUNC_DESC(id, display, bin, code, br, misp, cpi, ser)          \
-    FuncDesc{FuncId::id, display, Bin::bin, code, br, misp, cpi, ser},
-    NA_FUNC_LIST(NA_FUNC_DESC)
-#undef NA_FUNC_DESC
-}};
-
-} // namespace
-
-const FuncDesc &
-funcDesc(FuncId id)
+void
+detail::badFuncId(const char *who, std::size_t idx)
 {
-    const auto idx = static_cast<std::size_t>(id);
-    if (idx >= numFuncs)
-        sim::panic("funcDesc: bad FuncId %zu", idx);
-    return funcTable[idx];
+    sim::panic("%s: bad FuncId %zu", who, idx);
 }
 
 const FuncDesc &
@@ -68,7 +54,7 @@ funcCodeAddr(FuncId id)
     }();
     const auto idx = static_cast<std::size_t>(id);
     if (idx >= numFuncs)
-        sim::panic("funcCodeAddr: bad FuncId %zu", idx);
+        detail::badFuncId("funcCodeAddr", idx);
     return layout[idx];
 }
 

@@ -15,6 +15,8 @@
 #ifndef NETAFFINITY_PROF_FUNC_REGISTRY_HH
 #define NETAFFINITY_PROF_FUNC_REGISTRY_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -167,8 +169,30 @@ struct FuncDesc
     std::uint32_t serializeCycles; ///< fixed cost per invocation
 };
 
+namespace detail {
+
+/** Every function's descriptor, indexed by FuncId. */
+inline constexpr std::array<FuncDesc, numFuncs> funcTable = {{
+#define NA_FUNC_DESC(id, display, bin, code, br, misp, cpi, ser)          \
+    FuncDesc{FuncId::id, display, Bin::bin, code, br, misp, cpi, ser},
+    NA_FUNC_LIST(NA_FUNC_DESC)
+#undef NA_FUNC_DESC
+}};
+
+/** Panic: @p idx names no function (called by @p who). */
+[[noreturn]] void badFuncId(const char *who, std::size_t idx);
+
+} // namespace detail
+
 /** @return descriptor for @p id. */
-const FuncDesc &funcDesc(FuncId id);
+inline const FuncDesc &
+funcDesc(FuncId id)
+{
+    const auto idx = static_cast<std::size_t>(id);
+    if (idx >= numFuncs) [[unlikely]]
+        detail::badFuncId("funcDesc", idx);
+    return detail::funcTable[idx];
+}
 
 /** @return descriptor by symbol name; panics if unknown. */
 const FuncDesc &funcDescByName(std::string_view name);

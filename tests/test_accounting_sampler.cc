@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/core/experiment.hh"
 #include "src/prof/accounting.hh"
 #include "src/prof/sampler.hh"
@@ -45,6 +47,71 @@ TEST(BinAccounting, ResetClearsEverything)
     acct.add(1, FuncId::CopyToUser, Event::LlcMisses, 9);
     acct.reset();
     EXPECT_EQ(acct.total(Event::LlcMisses), 0u);
+}
+
+TEST(BinAccounting, AddAllMatchesOneAddPerEvent)
+{
+    struct Call
+    {
+        sim::CpuId cpu;
+        FuncId func;
+        Event ev;
+        std::uint64_t n;
+        bool
+        operator==(const Call &o) const
+        {
+            return cpu == o.cpu && func == o.func && ev == o.ev && n == o.n;
+        }
+    };
+    struct Recorder : Listener
+    {
+        std::vector<Call> calls;
+        void
+        onEvents(sim::CpuId cpu, FuncId func, Event ev,
+                 std::uint64_t n) override
+        {
+            calls.push_back({cpu, func, ev, n});
+        }
+    };
+    // Zero counts at the ends and in the middle must be skipped alike.
+    const EventCounts rows[] = {
+        {0, 3, 0, 5, 0, 0, 7, 1, 0, 0},
+        {12, 0, 4, 0, 9, 2, 0, 0, 6, 8},
+        {},
+    };
+    BinAccounting one_by_one(2);
+    BinAccounting all_at_once(2);
+    Recorder by_add;
+    Recorder by_add_all;
+    one_by_one.setListener(&by_add);
+    all_at_once.setListener(&by_add_all);
+    for (const EventCounts &row : rows) {
+        for (sim::CpuId cpu : {1, 0}) {
+            for (Event ev : allEvents) {
+                one_by_one.add(cpu, FuncId::TcpAck, ev,
+                               row[static_cast<std::size_t>(ev)]);
+            }
+            all_at_once.addAll(cpu, FuncId::TcpAck, row);
+        }
+    }
+    EXPECT_EQ(by_add_all.calls, by_add.calls);
+    EXPECT_EQ(by_add.calls.size(), 2u * (4 + 6));
+    for (sim::CpuId cpu : {0, 1}) {
+        for (std::size_t f = 0; f < numFuncs; ++f) {
+            for (Event ev : allEvents) {
+                const auto func = static_cast<FuncId>(f);
+                EXPECT_EQ(all_at_once.get(cpu, func, ev),
+                          one_by_one.get(cpu, func, ev));
+            }
+        }
+    }
+    EXPECT_EQ(all_at_once.get(0, FuncId::TcpAck, Event::Cycles), 12u);
+}
+
+TEST(BinAccountingDeath, AddAllBadCpuPanics)
+{
+    BinAccounting acct(2);
+    EXPECT_DEATH(acct.addAll(2, FuncId::TcpAck, EventCounts{}), "bad cpu");
 }
 
 TEST(BinAccountingDeath, BadCpuPanics)

@@ -235,6 +235,40 @@ TEST(ConfigValidate, RejectsEmptyTlbs)
     EXPECT_NO_THROW(cfg.validate());
 }
 
+TEST(ConfigValidate, RejectsNegativeOrNonFiniteChargeRates)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double bad : {-0.5, nan, inf}) {
+        core::SystemConfig cfg = goodConfig();
+        cfg.platform.intrinsicClearsPerKInstr[3] = bad;
+        expectRejectsNaming(cfg, "intrinsicClearsPerKInstr[3]");
+
+        cfg = goodConfig();
+        cfg.platform.coldMispredictBoost = bad;
+        expectRejectsNaming(cfg, "coldMispredictBoost");
+    }
+    core::SystemConfig cfg = goodConfig();
+    cfg.platform.intrinsicClearsPerKInstr.fill(0.0);
+    cfg.platform.coldMispredictBoost = 0.0;
+    EXPECT_NO_THROW(cfg.validate());
+}
+
+TEST(ConfigValidate, RejectsOrderingClearProbOutsideUnitInterval)
+{
+    for (double bad : {-0.01, 1.01,
+                       std::numeric_limits<double>::quiet_NaN()}) {
+        core::SystemConfig cfg = goodConfig();
+        cfg.platform.orderingClearProb = bad;
+        expectRejectsNaming(cfg, "orderingClearProb");
+    }
+    for (double ok : {0.0, 1.0}) {
+        core::SystemConfig cfg = goodConfig();
+        cfg.platform.orderingClearProb = ok;
+        EXPECT_NO_THROW(cfg.validate());
+    }
+}
+
 TEST(ConfigValidate, SystemConstructorRejectsBadConfig)
 {
     core::SystemConfig cfg = goodConfig();

@@ -160,24 +160,19 @@ TEST(PointKey, HashNeverReturnsZero)
     EXPECT_NE(core::hashCanonicalText("x"), 0u);
 }
 
-TEST(PointKeyRegistry, FlagsIdenticalPointsAsDuplicates)
+TEST(PointKeyRegistry, IdenticalTextRegistersTwiceWithoutThrowing)
 {
     core::PointKeyRegistry reg;
-    const auto e0 = reg.add(7, "same text", 0);
-    EXPECT_FALSE(e0.duplicate);
-    EXPECT_EQ(e0.firstIndex, 0u);
-
-    const auto e1 = reg.add(7, "same text", 3);
-    EXPECT_TRUE(e1.duplicate);
-    EXPECT_EQ(e1.firstIndex, 0u);
+    reg.add(7, "same text");
+    EXPECT_NO_THROW(reg.add(7, "same text"));
     EXPECT_EQ(reg.size(), 1u);
 }
 
 TEST(PointKeyRegistry, ThrowsOnRealHashCollision)
 {
     core::PointKeyRegistry reg;
-    reg.add(7, "text A", 0);
-    EXPECT_THROW(reg.add(7, "text B", 1), std::runtime_error);
+    reg.add(7, "text A");
+    EXPECT_THROW(reg.add(7, "text B"), std::runtime_error);
 }
 
 TEST(PointKey, SweepPointsGetDistinctKeys)

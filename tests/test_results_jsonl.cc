@@ -70,7 +70,10 @@ documentBytes(const core::ResultSet &rs)
     return os.str();
 }
 
-/** A complete minimal schema-5 record body shared by the tests. */
+/**
+ * A complete minimal schema-5 record body shared by the tests. Like the
+ * writer's, its event_totals holds one entry per prof::Event.
+ */
 const char *const recordBody =
     "\"label\": \"L\", \"config\": {\"workload\": \"ttcp\", "
     "\"mode\": \"tx\", \"msg_size\": 1024, \"affinity\": \"full\", "
@@ -82,7 +85,10 @@ const char *const recordBody =
     "\"irqs\": 10, \"ipis\": 2, \"migrations\": 1, "
     "\"context_switches\": 5, \"tx_drops_ring_full\": 0, "
     "\"rx_drops_ring_full\": 0, \"rx_frames_per_queue\": [3], "
-    "\"event_totals\": {}}";
+    "\"event_totals\": {\"cycles\": 900, \"instructions\": 400, "
+    "\"branches\": 80, \"br_mispredicts\": 7, \"llc_misses\": 6, "
+    "\"l2_misses\": 9, \"tc_misses\": 5, \"itlb_misses\": 4, "
+    "\"dtlb_misses\": 3, \"machine_clears\": 2}}";
 
 TEST(ResultsJsonl, CampaignStreamsOneRecordPerPoint)
 {
@@ -317,7 +323,7 @@ std::string
 richRecordLine()
 {
     std::string body(recordBody);
-    const std::string tail = "\"event_totals\": {}}";
+    const std::string tail = "\"event_totals\": ";
     body.replace(body.find(tail), tail.size(),
                  "\"reorder\": {\"ooo_arrivals\": 3, "
                  "\"ooo_windows\": 1, \"ooo_window_ticks\": 500, "
@@ -360,7 +366,13 @@ TEST(ResultsJsonl, MalformedFieldsAreRejected)
         {"ooo_depth_hist",
          {{"[3, 0, 0, 0, 0, 0, 0, 0]", "[3, 0, 0, 0, 0, 0, 0]"}}},
         {"event_totals",
-         {{"\"event_totals\": {}", "\"event_totals\": []"}}},
+         {{"{\"cycles\"", "[{\"cycles\""},
+          {"\"machine_clears\": 2}", "\"machine_clears\": 2}]"}}},
+        // Missing and unknown names: the writer emits every event.
+        {"event_totals", {{"\"tc_misses\": 5, ", ""}}},
+        {"event_totals",
+         {{"\"machine_clears\": 2}",
+           "\"machine_clears\": 2, \"bogus\": 1}"}}},
         {"workload", {{"\"ttcp\"", "\"zzz\""}}},
         {"steering", {{"\"static\"", "\"bogus\""}}},
         {"workload", {{"\"workload\": \"ttcp\", ", ""}}},
@@ -375,6 +387,12 @@ TEST(ResultsJsonl, MalformedFieldsAreRejected)
         ASSERT_EQ(file.records.size(), 1u);
         EXPECT_EQ(file.records[0].rec.result.reorder.oooDepthHist[0], 3u);
         ASSERT_EQ(file.records[0].rec.result.intervals.windows.size(), 1u);
+        const auto &totals = file.records[0].rec.result.eventTotals;
+        EXPECT_EQ(totals[static_cast<std::size_t>(prof::Event::Cycles)],
+                  900u);
+        EXPECT_EQ(
+            totals[static_cast<std::size_t>(prof::Event::MachineClears)],
+            2u);
     }
     for (const Case &c : cases) {
         std::string line = richRecordLine();
