@@ -158,7 +158,7 @@ BM_CacheHierarchyCopy(benchmark::State &state)
     for (auto _ : state) {
         stalls += h0.access(user, bytes, false, 0.3).stallCycles;
         stalls += h0.access(skb, bytes, true, 0.3).stallCycles;
-        stalls += domain.dmaRead(skb, bytes).lines;
+        stalls += domain.dma(skb, bytes).lines;
     }
     benchmark::DoNotOptimize(stalls);
     state.SetItemsProcessed(state.iterations() * 3 * (bytes / 64));

@@ -315,10 +315,6 @@ Campaign::run(std::vector<CampaignPoint> points, const Options &options)
                     last_error = e.what();
                     ticks_reached =
                         system ? system->eventQueue().now() : 0;
-                    if (options.failureHook) {
-                        options.failureHook(points[i], i, attempt + 1,
-                                            last_error);
-                    }
                 }
             }
             if (attempt == max_attempts) {
@@ -384,28 +380,6 @@ Campaign::run(std::vector<CampaignPoint> points, const Options &options)
     for (std::size_t i = 0; i < points.size(); ++i) {
         if (alias[i] != no_alias)
             results[i] = results[alias[i]];
-    }
-
-    if (options.failFast) {
-        // Aggregate EVERY failed point's message in full — the old
-        // behaviour of rethrowing only the first error silently
-        // discarded the rest.
-        std::string agg;
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            if (!results[i].failed)
-                continue;
-            if (!agg.empty())
-                agg += '\n';
-            agg += sim::format(
-                "campaign point %zu (%s) [%s] failed after %d "
-                "attempts: %s",
-                i, points[i].label.c_str(),
-                points[i].config.summary().c_str(),
-                results[i].failure.attempts,
-                results[i].failure.reason.c_str());
-        }
-        if (!agg.empty())
-            throw std::runtime_error(agg);
     }
 
     ResultSet rs(std::move(points), std::move(results));

@@ -168,26 +168,6 @@ class Campaign
         int maxAttempts = 2;
 
         /**
-         * If true, any point that exhausts its retries aborts the
-         * campaign with an exception aggregating EVERY failed point's
-         * full message (the pool still drains first). If false (the
-         * default), failed points degrade to structured
-         * RunResult::failure records and the campaign completes.
-         */
-        bool failFast = false;
-
-        /**
-         * Optional hook invoked on the worker thread each time a point
-         * attempt fails (before any retry). Receives the submission
-         * index, the 1-based attempt number just tried, and the full
-         * untruncated failure message. The per-index-slot rule from
-         * systemHook applies to shared state.
-         */
-        std::function<void(const CampaignPoint &, std::size_t, int,
-                           const std::string &)>
-            failureHook;
-
-        /**
          * Deterministic point partitioning for multi-process sweeps:
          * this run executes only the points whose submission index i
          * satisfies i % shardCount == shardIndex. Per-point seeds
@@ -277,9 +257,7 @@ class Campaign
     /**
      * Run every point and collect results in submission order.
      * Validates all configs up front. Points whose every attempt
-     * throws become structured RunResult::failure records (or, under
-     * Options::failFast, one aggregate exception naming every failed
-     * point in full, raised after the pool drains).
+     * throws become structured RunResult::failure records.
      */
     static ResultSet run(std::vector<CampaignPoint> points,
                          const Options &options);

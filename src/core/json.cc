@@ -80,8 +80,14 @@ class Parser
     [[noreturn]] void
     fail(const std::string &why) const
     {
+        failAt(why, pos);
+    }
+
+    [[noreturn]] static void
+    failAt(const std::string &why, std::size_t offset)
+    {
         throw std::runtime_error(sim::format(
-            "json: %s at offset %zu", why.c_str(), pos));
+            "json: %s at offset %zu", why.c_str(), offset));
     }
 
     void
@@ -256,9 +262,12 @@ class Parser
             return v;
         }
         while (true) {
+            skipWs();
+            const std::size_t key_at = pos;
             const std::string key = parseString();
             expect(':');
-            v.fields.emplace(key, parseValue());
+            if (!v.fields.emplace(key, parseValue()).second)
+                failAt("duplicate key '" + key + "'", key_at);
             const char c = peek();
             ++pos;
             if (c == '}')

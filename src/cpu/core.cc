@@ -17,7 +17,8 @@ Core::Core(stats::Group *parent, const std::string &name, sim::CpuId cpu_id,
                 domain),
       itlb(this, "itlb", config_params.itlbEntries),
       dtlb(this, "dtlb", config_params.dtlbEntries),
-      traceCache(this, "tc", config_params.traceCacheBytes),
+      traceCache(this, "tc", config_params.traceCacheBytes,
+                 prof::numFuncs),
       rng(config_params.seed * 7919 + static_cast<std::uint64_t>(cpu_id))
 {
 }

@@ -68,12 +68,6 @@ Cache::setModified(sim::Addr addr)
     line->state = LineState::Modified;
 }
 
-void
-Cache::flushAll()
-{
-    std::fill(lines.begin(), lines.end(), Line{});
-}
-
 std::uint64_t
 Cache::validLines() const
 {

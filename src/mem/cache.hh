@@ -93,13 +93,6 @@ class Cache : public stats::Group
     FindOrInsertResult findOrInsert(sim::Addr addr, LineState state);
 
     /**
-     * Single-walk equivalent of `probe() != Invalid ? setModified() :
-     * false` — no LRU touch, no hit/miss counting.
-     * @return true if the line was present (and is now Modified).
-     */
-    bool setModifiedIfPresent(sim::Addr addr);
-
-    /**
      * Invalidate a line (snoop or back-invalidate).
      * @return previous state (Invalid if it was not present).
      */
@@ -113,9 +106,6 @@ class Cache : public stats::Group
 
     /** Mark an already-present line Modified (write hit). */
     void setModified(sim::Addr addr);
-
-    /** Drop every line (e.g. between experiment phases). */
-    void flushAll();
 
     /** @return number of valid lines currently cached. */
     std::uint64_t validLines() const;
@@ -255,16 +245,6 @@ Cache::downgrade(sim::Addr addr)
         return false;
     if (line->state == LineState::Modified)
         line->state = LineState::Shared;
-    return true;
-}
-
-inline bool
-Cache::setModifiedIfPresent(sim::Addr addr)
-{
-    Line *line = findLine(addr);
-    if (!line)
-        return false;
-    line->state = LineState::Modified;
     return true;
 }
 

@@ -44,17 +44,10 @@ CacheHierarchy::invalidateInner(sim::Addr line_addr)
 void
 CacheHierarchy::upgradeLine(sim::Addr line_addr)
 {
-    // Inclusion (L1 ⊆ L2 ⊆ L3) means the outer levels are guaranteed
-    // present once an inner level hits, so each level is walked once
-    // instead of the probe+setModified double walk.
-    if (l1.setModifiedIfPresent(line_addr)) {
-        l2.setModified(line_addr);
-        l3.setModified(line_addr);
-    } else if (l2.setModifiedIfPresent(line_addr)) {
-        l3.setModified(line_addr);
-    } else {
-        l3.setModifiedIfPresent(line_addr);
-    }
+    // Inclusion (L1 ⊆ L2 ⊆ L3): a line that hit in L1 is in L2 and L3.
+    l1.setModified(line_addr);
+    l2.setModified(line_addr);
+    l3.setModified(line_addr);
 }
 
 LineState
@@ -94,14 +87,6 @@ CacheHierarchy::snoopDowngrade(sim::Addr addr)
     if (l2.downgrade(addr))
         l1.downgrade(addr);
     return true;
-}
-
-void
-CacheHierarchy::flushAll()
-{
-    l1.flushAll();
-    l2.flushAll();
-    l3.flushAll();
 }
 
 SnoopDomain::SnoopDomain(const MemTiming &timing_params)
@@ -159,7 +144,7 @@ SnoopDomain::snoopRead(sim::CpuId requester, sim::Addr line_addr)
 }
 
 DmaResult
-SnoopDomain::dmaWrite(sim::Addr addr, std::uint32_t bytes)
+SnoopDomain::dma(sim::Addr addr, std::uint32_t bytes)
 {
     DmaResult res;
     if (bytes == 0)
@@ -171,30 +156,6 @@ SnoopDomain::dmaWrite(sim::Addr addr, std::uint32_t bytes)
         for (CacheHierarchy *h : all) {
             if (h->snoopInvalidate(la) != LineState::Invalid)
                 res.stolenFrom[static_cast<std::size_t>(h->cpuId())] += 1;
-        }
-    }
-    return res;
-}
-
-DmaResult
-SnoopDomain::dmaRead(sim::Addr addr, std::uint32_t bytes)
-{
-    DmaResult res;
-    if (bytes == 0)
-        return res;
-    const sim::Addr first = addr / lineSize * lineSize;
-    const sim::Addr last = (addr + bytes - 1) / lineSize * lineSize;
-    for (sim::Addr la = first; la <= last; la += lineSize) {
-        ++res.lines;
-        for (CacheHierarchy *h : all) {
-            if (timing.dmaReadInvalidates) {
-                if (h->snoopInvalidate(la) != LineState::Invalid) {
-                    res.stolenFrom[static_cast<std::size_t>(
-                        h->cpuId())] += 1;
-                }
-            } else {
-                h->snoopDowngrade(la);
-            }
         }
     }
     return res;

@@ -41,13 +41,6 @@ struct MemTiming
     unsigned upgradeCycles = 30; ///< Shared->Modified ownership upgrade
     unsigned uncachedCycles = 600;      ///< MMIO register read (stalls)
     unsigned uncachedWriteCycles = 150; ///< MMIO posted write
-    /**
-     * ServerWorks-era chipsets invalidate cached lines on DMA *reads*
-     * as well as writes (simpler snoop filters) — so transmitted
-     * payload buffers come back cold when the slab recycles them, on
-     * every CPU alike.
-     */
-    bool dmaReadInvalidates = true;
 };
 
 /** Geometry of one CPU's caches (Xeon MP defaults). */
@@ -97,7 +90,7 @@ struct AccessResult
 struct DmaResult
 {
     std::uint32_t lines = 0;
-    /** Lines invalidated out of each CPU's caches (RX DMA writes). */
+    /** Lines invalidated out of each CPU's caches. */
     std::array<std::uint32_t, maxSmpCpus> stolenFrom{};
 };
 
@@ -152,9 +145,6 @@ class CacheHierarchy : public stats::Group
     /** Downgrade a line to Shared at every level (remote read). */
     bool snoopDowngrade(sim::Addr addr);
 
-    /** Drop all cached lines. */
-    void flushAll();
-
     sim::CpuId cpuId() const { return cpu; }
     unsigned lineBytes() const { return l1.lineBytes(); }
 
@@ -185,7 +175,7 @@ class CacheHierarchy : public stats::Group
      */
     LineState invalidateInner(sim::Addr line_addr);
 
-    /** Upgrade a locally-present line to Modified at every level. */
+    /** Upgrade a line that hit in L1 to Modified at every level. */
     void upgradeLine(sim::Addr line_addr);
 };
 
@@ -220,15 +210,13 @@ class SnoopDomain
     LineState snoopRead(sim::CpuId requester, sim::Addr line_addr);
 
     /**
-     * Device writes memory (RX DMA): invalidates every cached copy.
+     * Device reads or writes memory (TX or RX DMA): invalidates every
+     * cached copy. The modeled ServerWorks-era chipset invalidates on
+     * DMA *reads* as well as writes (simpler snoop filters), so
+     * transmitted payload buffers come back cold when the slab recycles
+     * them, on every CPU alike.
      */
-    DmaResult dmaWrite(sim::Addr addr, std::uint32_t bytes);
-
-    /**
-     * Device reads memory (TX DMA): forces writeback/downgrade of dirty
-     * copies but leaves lines cached.
-     */
-    DmaResult dmaRead(sim::Addr addr, std::uint32_t bytes);
+    DmaResult dma(sim::Addr addr, std::uint32_t bytes);
 
     const MemTiming &memTiming() const { return timing; }
     unsigned lineBytes() const { return lineSize; }

@@ -15,14 +15,13 @@ Tlb::Tlb(stats::Group *parent, const std::string &name, unsigned entries)
 }
 
 bool
-Tlb::accessSlow(PageNum page)
+Tlb::access(sim::Addr addr)
 {
+    const PageNum page = pageOf(addr);
     auto it = map.find(page);
     if (it != map.end()) {
         ++hits;
         lru.splice(lru.begin(), lru, it->second);
-        mruPage = page;
-        mruValid = true;
         return true;
     }
     ++walks;
@@ -32,8 +31,6 @@ Tlb::accessSlow(PageNum page)
     }
     lru.push_front(page);
     map[page] = lru.begin();
-    mruPage = page;
-    mruValid = true;
     return false;
 }
 
@@ -41,14 +38,6 @@ bool
 Tlb::resident(sim::Addr addr) const
 {
     return map.count(pageOf(addr)) != 0;
-}
-
-void
-Tlb::flushAll()
-{
-    lru.clear();
-    map.clear();
-    mruValid = false;
 }
 
 } // namespace na::mem

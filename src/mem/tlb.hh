@@ -33,25 +33,10 @@ class Tlb : public stats::Group
      * @return true on hit; false means a page walk occurred (the entry
      *         is installed as a side effect).
      */
-    bool
-    access(sim::Addr addr)
-    {
-        // A repeat access to the most recent page is already at the
-        // LRU front: the map lookup and splice are both no-ops, so the
-        // hit can be counted without touching either.
-        const PageNum page = pageOf(addr);
-        if (mruValid && page == mruPage) {
-            ++hits;
-            return true;
-        }
-        return accessSlow(page);
-    }
+    bool access(sim::Addr addr);
 
     /** @return true if the page is currently resident (no LRU update). */
     bool resident(sim::Addr addr) const;
-
-    /** Drop all entries (context switch on a non-global flush, tests). */
-    void flushAll();
 
     unsigned capacity() const { return numEntries; }
     std::uint64_t size() const { return map.size(); }
@@ -67,17 +52,7 @@ class Tlb : public stats::Group
     LruList lru; ///< front == most recent
     std::unordered_map<PageNum, LruList::iterator> map;
 
-    /**
-     * Memo of the most recent translation. A repeat access to the same
-     * page is already at the LRU front, so the hash lookup and splice
-     * are both no-ops and can be skipped without changing LRU order.
-     */
-    PageNum mruPage = 0;
-    bool mruValid = false;
-
     static PageNum pageOf(sim::Addr addr) { return addr >> pageShift; }
-
-    bool accessSlow(PageNum page);
 };
 
 } // namespace na::mem

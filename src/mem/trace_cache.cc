@@ -5,68 +5,55 @@
 namespace na::mem {
 
 TraceCache::TraceCache(stats::Group *parent, const std::string &name,
-                       std::uint64_t capacity_bytes)
+                       std::uint64_t capacity_bytes, std::size_t num_funcs)
     : stats::Group(parent, name),
       hits(this, "hits", "trace cache hits"),
       misses(this, "misses", "trace lines rebuilt"),
-      capacity(capacity_bytes)
+      capacity(capacity_bytes), slots(num_funcs)
 {
 }
 
-unsigned
-TraceCache::accessSlow(std::uint16_t func_id,
-                       std::uint32_t footprint_bytes)
+void
+TraceCache::badFuncId(std::uint16_t func_id) const
 {
-    auto it = map.find(func_id);
-    if (it != map.end()) {
-        ++hits;
-        lru.splice(lru.begin(), lru, it->second);
-        mruFunc = func_id;
-        mruValid = true;
-        return 0;
-    }
+    sim::panic("trace cache %s: function id %u out of range (%zu ids)",
+               groupName().c_str(), unsigned{func_id}, slots.size());
+}
 
-    if (footprint_bytes > capacity) {
-        // A single function larger than the whole cache: permanent
-        // streaming misses, never resident.
-        const unsigned lines =
-            static_cast<unsigned>((footprint_bytes + 63) / 64);
-        misses += lines;
-        return lines;
-    }
-
-    while (used + footprint_bytes > capacity && !lru.empty()) {
-        const Entry &victim = lru.back();
-        used -= victim.bytes;
-        map.erase(victim.func);
-        lru.pop_back();
-    }
-
-    lru.push_front(Entry{func_id, footprint_bytes});
-    map[func_id] = lru.begin();
-    used += footprint_bytes;
-    mruFunc = func_id;
-    mruValid = true;
-
+unsigned
+TraceCache::build(Slot &slot, std::uint32_t footprint_bytes)
+{
     const unsigned lines =
         static_cast<unsigned>((footprint_bytes + 63) / 64);
     misses += lines;
+
+    // A single function larger than the whole cache: permanent
+    // streaming misses, never resident.
+    if (footprint_bytes > capacity)
+        return lines;
+
+    // Evict least-recently-executed traces until it fits. While it
+    // does not, used > 0, so some slot is resident and victim is set.
+    while (used + footprint_bytes > capacity) {
+        Slot *victim = nullptr;
+        for (Slot &s : slots) {
+            if (s.stamp != 0 && (!victim || s.stamp < victim->stamp))
+                victim = &s;
+        }
+        used -= victim->bytes;
+        *victim = Slot{};
+    }
+
+    slot.stamp = ++clock;
+    slot.bytes = footprint_bytes;
+    used += footprint_bytes;
     return lines;
 }
 
 bool
 TraceCache::resident(std::uint16_t func_id) const
 {
-    return map.count(func_id) != 0;
-}
-
-void
-TraceCache::flushAll()
-{
-    lru.clear();
-    map.clear();
-    used = 0;
-    mruValid = false;
+    return const_cast<TraceCache *>(this)->slotOf(func_id).stamp != 0;
 }
 
 } // namespace na::mem

@@ -14,16 +14,16 @@
 #ifndef NETAFFINITY_MEM_TRACE_CACHE_HH
 #define NETAFFINITY_MEM_TRACE_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <list>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "src/stats/stats.hh"
 
 namespace na::mem {
 
-/** LRU footprint cache for decoded code traces. */
+/** LRU footprint cache for decoded code traces, one slot per function. */
 class TraceCache : public stats::Group
 {
   public:
@@ -31,9 +31,11 @@ class TraceCache : public stats::Group
      * @param capacity_bytes total uop storage expressed as equivalent
      *        x86 code bytes (12k uops ~= 48-96 KiB of code; see
      *        cpu::PlatformConfig).
+     * @param num_funcs number of function ids; access() and resident()
+     *        panic on an id >= this.
      */
     TraceCache(stats::Group *parent, const std::string &name,
-               std::uint64_t capacity_bytes);
+               std::uint64_t capacity_bytes, std::size_t num_funcs);
 
     /**
      * Execute function @p func_id whose decoded footprint is
@@ -44,20 +46,17 @@ class TraceCache : public stats::Group
     unsigned
     access(std::uint16_t func_id, std::uint32_t footprint_bytes)
     {
-        // A repeat of the most recent function is already at the LRU
-        // front: the map lookup and splice are both no-ops.
-        if (mruValid && func_id == mruFunc) {
+        Slot &slot = slotOf(func_id);
+        if (slot.stamp != 0) {
             ++hits;
+            slot.stamp = ++clock;
             return 0;
         }
-        return accessSlow(func_id, footprint_bytes);
+        return build(slot, footprint_bytes);
     }
 
     /** @return true if the function's trace is resident. */
     bool resident(std::uint16_t func_id) const;
-
-    /** Drop all traces. */
-    void flushAll();
 
     std::uint64_t usedBytes() const { return used; }
     std::uint64_t capacityBytes() const { return capacity; }
@@ -66,27 +65,30 @@ class TraceCache : public stats::Group
     stats::Scalar misses; ///< trace-line builds
 
   private:
-    struct Entry
+    /** One function's trace. Stamp 0 means absent. */
+    struct Slot
     {
-        std::uint16_t func;
-        std::uint32_t bytes;
+        std::uint64_t stamp = 0; ///< larger == more recently executed
+        std::uint32_t bytes = 0; ///< resident footprint
     };
 
     std::uint64_t capacity;
     std::uint64_t used = 0;
-    std::list<Entry> lru; ///< front == most recent
-    std::unordered_map<std::uint16_t, std::list<Entry>::iterator> map;
+    std::uint64_t clock = 0;
+    std::vector<Slot> slots; ///< indexed by function id
 
-    /**
-     * Memo of the most recently executed resident function. A repeat
-     * execution is already at the LRU front, so the map lookup and
-     * splice are no-ops and can be skipped without changing LRU order.
-     */
-    std::uint16_t mruFunc = 0;
-    bool mruValid = false;
+    Slot &
+    slotOf(std::uint16_t func_id)
+    {
+        if (func_id >= slots.size()) [[unlikely]]
+            badFuncId(func_id);
+        return slots[func_id];
+    }
 
-    unsigned accessSlow(std::uint16_t func_id,
-                        std::uint32_t footprint_bytes);
+    [[noreturn]] void badFuncId(std::uint16_t func_id) const;
+
+    /** Miss path: evict LRU traces until @p footprint_bytes fits. */
+    unsigned build(Slot &slot, std::uint32_t footprint_bytes);
 };
 
 } // namespace na::mem

@@ -33,7 +33,7 @@ void
 Nic::TxDmaEvent::process()
 {
     if (dataAddr && dmaLen)
-        nic.kernel.snoopDomain().dmaRead(dataAddr, dmaLen);
+        nic.kernel.snoopDomain().dma(dataAddr, dmaLen);
     nic.wire.sendFromA(pkt);
     nextFree = nic.freeTxDma;
     nic.freeTxDma = this;
@@ -47,7 +47,7 @@ Nic::TxDoneEvent::TxDoneEvent(Nic &nic_ref)
 void
 Nic::TxDoneEvent::process()
 {
-    nic.kernel.snoopDomain().dmaWrite(
+    nic.kernel.snoopDomain().dma(
         nic.txDescBase + static_cast<sim::Addr>(descIdx) * 16, 16);
     nic.pendingTxDone.push_back(PendingTxDone{pkt, descIdx});
     // TX completions always signal through queue 0's vector (one TX
@@ -271,8 +271,8 @@ Nic::onWirePacket(const Packet &pkt)
     const std::uint32_t frame_bytes =
         std::min<std::uint32_t>(pkt.seg.len + 66, SkbPool::dataBytes);
     mem::DmaResult dma =
-        kernel.snoopDomain().dmaWrite(skb.dataAddr, frame_bytes);
-    const mem::DmaResult dma2 = kernel.snoopDomain().dmaWrite(
+        kernel.snoopDomain().dma(skb.dataAddr, frame_bytes);
+    const mem::DmaResult dma2 = kernel.snoopDomain().dma(
         rxq.descBase + static_cast<sim::Addr>(desc) * 16, 16);
     for (int c = 0; c < kernel.numCpus(); ++c) {
         const auto ci = static_cast<std::size_t>(c);

@@ -148,7 +148,7 @@ TEST_F(HierarchyTest, DmaWriteInvalidatesEveryCache)
 {
     h0.access(kAddr, 128, true);
     h1.access(kAddr + 64, 64, false);
-    DmaResult r = domain.dmaWrite(kAddr, 128);
+    DmaResult r = domain.dma(kAddr, 128);
     EXPECT_EQ(r.lines, 2u);
     EXPECT_EQ(r.stolenFrom[0], 2u);
     EXPECT_EQ(r.stolenFrom[1], 1u);
@@ -158,31 +158,14 @@ TEST_F(HierarchyTest, DmaWriteInvalidatesEveryCache)
 
 TEST_F(HierarchyTest, DmaReadInvalidatesOnThisChipset)
 {
-    // The modeled ServerWorks-era chipset invalidates on DMA reads too
-    // (dmaReadInvalidates default), so transmitted payload buffers come
-    // back cold — the reason TX copies don't improve with affinity.
+    // The modeled ServerWorks-era chipset invalidates on DMA reads too,
+    // so transmitted payload buffers come back cold — the reason TX
+    // copies don't improve with affinity.
     h0.access(kAddr, 64, true);
-    DmaResult r = domain.dmaRead(kAddr, 64);
+    DmaResult r = domain.dma(kAddr, 64);
     EXPECT_EQ(r.lines, 1u);
     EXPECT_EQ(r.stolenFrom[0], 1u);
     EXPECT_FALSE(h0.present(kAddr));
-}
-
-TEST(HierarchyDmaModes, DowngradingChipsetKeepsLines)
-{
-    MemTiming timing;
-    timing.dmaReadInvalidates = false;
-    stats::Group root(nullptr, "");
-    SnoopDomain domain(timing);
-    CacheHierarchy h(&root, "h", 0, CacheGeometry{}, domain);
-    const sim::Addr addr =
-        static_cast<sim::Addr>(Region::KernelData) * (1ULL << 30);
-    h.access(addr, 64, true);
-    DmaResult r = domain.dmaRead(addr, 64);
-    EXPECT_EQ(r.lines, 1u);
-    EXPECT_EQ(r.stolenFrom[0], 0u);
-    EXPECT_TRUE(h.present(addr));
-    EXPECT_EQ(h.probeLine(addr), LineState::Shared);
 }
 
 TEST_F(HierarchyTest, UncacheableAccessBypassesCaches)
@@ -200,8 +183,7 @@ TEST_F(HierarchyTest, UncacheableAccessBypassesCaches)
 TEST_F(HierarchyTest, OverlapScalesMissPenalty)
 {
     AccessResult full = h0.access(kAddr, 64, false, 1.0);
-    h0.flushAll();
-    domain.dmaWrite(kAddr, 64); // ensure gone everywhere
+    domain.dma(kAddr, 64); // ensure gone everywhere
     AccessResult half = h1.access(kAddr + 4096 * 7, 64, false, 0.5);
     EXPECT_NEAR(static_cast<double>(half.stallCycles),
                 static_cast<double>(full.stallCycles) / 2.0, 1.0);

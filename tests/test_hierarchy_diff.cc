@@ -3,8 +3,8 @@
  * Differential test: CacheHierarchy + SnoopDomain against a plain
  * reference model (per-set LRU lists per level, every lookup followed by
  * an insert, every snoop and DMA visiting every level of every CPU), on
- * seeded random streams of CPU accesses, DMA reads and writes, and
- * uncached accesses. After every operation each AccessResult/DmaResult
+ * seeded random streams of CPU accesses, DMA transfers, and uncached
+ * accesses. After every operation each AccessResult/DmaResult
  * field and every per-level and per-hierarchy counter must agree.
  */
 
@@ -119,7 +119,7 @@ class RefLevel
     }
 
     void
-    setModifiedIfPresent(sim::Addr la)
+    setModified(sim::Addr la)
     {
         auto &set = data[setOf(la)];
         auto it = find(set, la);
@@ -274,7 +274,7 @@ class RefDomain
     }
 
     DmaResult
-    dma(sim::Addr addr, std::uint32_t bytes, bool write)
+    dma(sim::Addr addr, std::uint32_t bytes)
     {
         DmaResult res;
         if (bytes == 0)
@@ -284,12 +284,8 @@ class RefDomain
         for (sim::Addr la = first; la <= last; la += line) {
             ++res.lines;
             for (auto &h : cpus) {
-                if (write || timing.dmaReadInvalidates) {
-                    if (h->snoopInvalidate(la) != LineState::Invalid)
-                        res.stolenFrom[static_cast<std::size_t>(h->cpu)]++;
-                } else {
-                    h->snoopDowngrade(la);
-                }
+                if (h->snoopInvalidate(la) != LineState::Invalid)
+                    res.stolenFrom[static_cast<std::size_t>(h->cpu)]++;
             }
         }
         return res;
@@ -329,9 +325,9 @@ RefHierarchy::access(sim::Addr addr, std::uint32_t bytes, bool write,
             stall += t.l1HitCycles;
             if (write && s1 == LineState::Shared) {
                 domain.snoopWrite(cpu, la, res.stolenFrom);
-                l1.setModifiedIfPresent(la);
-                l2.setModifiedIfPresent(la);
-                l3.setModifiedIfPresent(la);
+                l1.setModified(la);
+                l2.setModified(la);
+                l3.setModified(la);
                 ++res.upgrades;
                 stall += t.upgradeCycles;
             }
@@ -427,7 +423,7 @@ expectSameResult(const AccessResult &a, const AccessResult &b, int op)
     EXPECT_EQ(a.stolenFrom, b.stolenFrom) << "op " << op;
 }
 
-// (cpus, dmaReadInvalidates, seed)
+// (cpus, with DMA transfers, seed)
 using Params = std::tuple<int, bool, std::uint64_t>;
 
 class HierarchyVsReference : public ::testing::TestWithParam<Params>
@@ -436,10 +432,9 @@ class HierarchyVsReference : public ::testing::TestWithParam<Params>
 
 TEST_P(HierarchyVsReference, RandomStreamAgrees)
 {
-    const auto [ncpus, dma_read_inv, seed] = GetParam();
+    const auto [ncpus, with_dma, seed] = GetParam();
     const CacheGeometry geom = smallGeom();
-    MemTiming timing;
-    timing.dmaReadInvalidates = dma_read_inv;
+    const MemTiming timing;
 
     stats::Group root(nullptr, "");
     SnoopDomain domain(timing);
@@ -482,11 +477,9 @@ TEST_P(HierarchyVsReference, RandomStreamAgrees)
             const AccessResult b =
                 ref.cpus[cpu]->access(addr, bytes, write, overlap);
             expectSameResult(a, b, op);
-        } else if (base != windows[2]) {
-            const bool write = kind == 9;
-            const DmaResult a = write ? domain.dmaWrite(addr, bytes)
-                                      : domain.dmaRead(addr, bytes);
-            const DmaResult b = ref.dma(addr, bytes, write);
+        } else if (with_dma && base != windows[2]) {
+            const DmaResult a = domain.dma(addr, bytes);
+            const DmaResult b = ref.dma(addr, bytes);
             EXPECT_EQ(a.lines, b.lines) << "op " << op;
             EXPECT_EQ(a.stolenFrom, b.stolenFrom) << "op " << op;
         }
@@ -513,6 +506,8 @@ TEST_P(HierarchyVsReference, RandomStreamAgrees)
     }
 }
 
+// Streams with DMA (which invalidates, reads included, on the modeled
+// chipset) and without it (lines live until evicted or snooped).
 INSTANTIATE_TEST_SUITE_P(
     CpusAndDmaModes, HierarchyVsReference,
     ::testing::Combine(::testing::Values(2, 4), ::testing::Bool(),
@@ -520,7 +515,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          std::uint64_t{7})),
     [](const ::testing::TestParamInfo<Params> &info) {
         return "cpus" + std::to_string(std::get<0>(info.param)) +
-               (std::get<1>(info.param) ? "_dmaReadInv" : "_dmaReadDown") +
+               (std::get<1>(info.param) ? "_dmaReadInv" : "_noDma") +
                "_seed" + std::to_string(std::get<2>(info.param));
     });
 

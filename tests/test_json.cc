@@ -2,7 +2,8 @@
  * @file
  * core::json nesting cap: hostile depth throws with its byte offset
  * instead of overflowing the parser's stack, and documents up to the
- * cap still parse.
+ * cap still parse. A duplicated object key throws with its offset
+ * instead of silently keeping one of the values.
  */
 
 #include <gtest/gtest.h>
@@ -74,6 +75,18 @@ TEST(JsonDepth, DocumentExactlyAtTheCapParses)
 
     const json::Value mixed = json::parse(mixedNesting(json::maxDepth));
     EXPECT_TRUE(mixed.isObject());
+}
+
+TEST(JsonKeys, DuplicateKeyThrowsWithItsOffset)
+{
+    EXPECT_EQ(parseError("{\"cpus\": 2, \"cpus\": 4}"),
+              "json: duplicate key 'cpus' at offset 12");
+    // Nested objects are checked too; equal keys in sibling objects
+    // are not duplicates.
+    EXPECT_EQ(parseError("{\"a\": {\"k\": 1,\"k\": 1}}"),
+              "json: duplicate key 'k' at offset 14");
+    const json::Value v = json::parse("[{\"k\": 1}, {\"k\": 2}]");
+    EXPECT_EQ(v.items.at(1).num("k"), 2.0);
 }
 
 } // namespace

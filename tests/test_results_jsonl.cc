@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "src/core/results_json.hh"
 #include "src/core/results_jsonl.hh"
 #include "src/core/sweep.hh"
+#include "src/sim/random.hh"
 
 using namespace na;
 
@@ -380,6 +382,8 @@ TEST(ResultsJsonl, MalformedFieldsAreRejected)
         {"tx_drops_ring_full", {{"\"tx_drops_ring_full\": 0, ", ""}}},
         {"rx_drops_ring_full", {{"\"rx_drops_ring_full\": 0, ", ""}}},
         {"point_key", {{"0000000000000001", "0000000000000000"}}},
+        // A duplicated key would silently keep one of its values.
+        {"cpus", {{"\"cpus\": 2", "\"cpus\": 2, \"cpus\": 4"}}},
     };
     {
         std::istringstream in(richRecordLine());
@@ -414,6 +418,152 @@ TEST(ResultsJsonl, MalformedFieldsAreRejected)
                 << msg;
         }
     }
+}
+
+/** Byte spans of the number tokens outside strings in @p line. */
+std::vector<std::pair<std::size_t, std::size_t>>
+numberSpans(const std::string &line)
+{
+    std::vector<std::pair<std::size_t, std::size_t>> spans;
+    bool in_string = false;
+    for (std::size_t i = 0; i < line.size(); ++i) {
+        const char c = line[i];
+        if (in_string) {
+            if (c == '\\')
+                ++i;
+            else if (c == '"')
+                in_string = false;
+            continue;
+        }
+        if (c == '"') {
+            in_string = true;
+        } else if (c == '-' || (c >= '0' && c <= '9')) {
+            const std::size_t end =
+                line.find_first_not_of("+-.0123456789eE", i);
+            spans.emplace_back(i, end - i);
+            i = end - 1;
+        }
+    }
+    return spans;
+}
+
+/** Start offsets of the object keys (a string followed by ':'). */
+std::vector<std::size_t>
+keyStarts(const std::string &line)
+{
+    std::vector<std::size_t> starts;
+    for (std::size_t i = line.find('"'); i != std::string::npos;) {
+        const std::size_t close = line.find('"', i + 1);
+        if (close + 1 < line.size() && line[close + 1] == ':')
+            starts.push_back(i);
+        i = line.find('"', close + 1);
+    }
+    return starts;
+}
+
+TEST(ResultsJsonl, SeededMutationsParseOrThrowNamingTheLine)
+{
+    // Valid v6 lines: a full record and one without the optional
+    // reorder and intervals blocks.
+    const std::string plain = "{\"schema\": 6, \"point_key\": "
+                              "\"0000000000000002\", " +
+                              std::string(recordBody) + "}\n";
+    const std::vector<std::string> valid = {richRecordLine(), plain,
+                                            richRecordLine()};
+    {
+        std::string all;
+        for (const std::string &l : valid)
+            all += l;
+        std::istringstream in(all);
+        ASSERT_EQ(core::readResultsJsonl(in).records.size(), 3u);
+    }
+
+    const std::string nested300 =
+        std::string(300, '[') + "1" + std::string(300, ']');
+    std::string objects300 = "1";
+    for (int i = 0; i < 300; ++i)
+        objects300 = "{\"k\": " + objects300 + "}";
+    const std::vector<std::string> numbers = {
+        "1e400", "-1e400", "-1", "-0", "1.5", "1e-400", "4294967296",
+        "18446744073709551615", "18446744073709551616",
+        "-9223372036854775809", "99999999999999999999999999999999",
+        "1e", "--1", "01", nested300, objects300};
+    const std::vector<std::string> schemas = {"4", "7", "\"6\""};
+
+    enum Kind { Truncate, FlipByte, Number, DuplicateKey, Schema, NumKinds };
+    int parsed = 0;
+    int thrown = 0;
+    for (const std::uint64_t seed : {11u, 12u, 13u}) {
+        sim::Random rng(seed);
+        for (int iter = 0; iter < 150; ++iter) {
+            const std::size_t target = rng.range(0, valid.size() - 1);
+            std::string line = valid[target];
+            line.pop_back(); // the newline goes back on below
+            const auto kind = static_cast<Kind>(rng.range(0, NumKinds - 1));
+            bool must_throw = false;
+            switch (kind) {
+              case Truncate:
+                line.resize(rng.range(0, line.size() - 1));
+                break;
+              case FlipByte: {
+                char c;
+                do {
+                    c = static_cast<char>(rng.range(0, 255));
+                } while (c == '\n');
+                line[rng.range(0, line.size() - 1)] = c;
+                break;
+              }
+              case Number: {
+                const auto spans = numberSpans(line);
+                const auto [at, len] = spans[rng.range(0, spans.size() - 1)];
+                line.replace(at, len,
+                             numbers[rng.range(0, numbers.size() - 1)]);
+                break;
+              }
+              case DuplicateKey: {
+                const auto starts = keyStarts(line);
+                const std::size_t at =
+                    starts[rng.range(0, starts.size() - 1)];
+                const std::size_t colon = line.find(':', at);
+                line.insert(at, line.substr(at, colon - at) + ": 0, ");
+                must_throw = true;
+                break;
+              }
+              case Schema:
+                line.replace(line.find("6"), 1,
+                             schemas[rng.range(0, schemas.size() - 1)]);
+                must_throw = true;
+                break;
+              case NumKinds:
+                break;
+            }
+
+            std::string stream;
+            for (std::size_t i = 0; i < valid.size(); ++i)
+                stream += i == target ? line + "\n" : valid[i];
+            SCOPED_TRACE(::testing::Message()
+                         << "seed " << seed << " iter " << iter
+                         << " kind " << kind << ": " << line);
+            std::istringstream in(stream);
+            try {
+                const core::JsonlFile file = core::readResultsJsonl(in);
+                EXPECT_FALSE(must_throw);
+                EXPECT_LE(file.records.size(), valid.size());
+                ++parsed;
+            } catch (const std::runtime_error &e) {
+                const std::string msg = e.what();
+                EXPECT_NE(msg.find("results jsonl line " +
+                                   std::to_string(target + 1) + ":"),
+                          std::string::npos)
+                    << msg;
+                ++thrown;
+            }
+        }
+    }
+    // Both outcomes occur: the mutations are neither all fatal nor all
+    // harmless.
+    EXPECT_GT(parsed, 0);
+    EXPECT_GT(thrown, 0);
 }
 
 TEST(ResultsJsonl, MissingFileThrowsInsteadOfLookingEmpty)
