@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
+#include "src/mem/tlb.hh"
 #include "src/sim/logging.hh"
 
 namespace na::core {
@@ -65,10 +67,15 @@ SystemConfig::validate() const
                 l.level, l.level, static_cast<unsigned long long>(sets)));
         }
     }
-    if (platform.itlbEntries < 1 || platform.dtlbEntries < 1) {
-        throw std::runtime_error(sim::format(
-            "SystemConfig: platform.%s must be >= 1, got 0",
-            platform.itlbEntries < 1 ? "itlbEntries" : "dtlbEntries"));
+    // Each TLB allocates its slots and index at construction.
+    for (const auto &[field, entries] :
+         {std::pair{"itlbEntries", platform.itlbEntries},
+          std::pair{"dtlbEntries", platform.dtlbEntries}}) {
+        if (entries < 1 || entries > mem::Tlb::maxEntries) {
+            throw std::runtime_error(sim::format(
+                "SystemConfig: platform.%s must be in [1, %u], got %u",
+                field, mem::Tlb::maxEntries, entries));
+        }
     }
     // Charge-model rates: Core::charge truncates and rounds the
     // expectations built from them, which needs finite values >= 0.

@@ -47,17 +47,6 @@ Cache::Cache(stats::Group *parent, const std::string &name,
     lines.resize(static_cast<std::size_t>(numSets) * assoc);
 }
 
-Cache::Victim
-Cache::insert(sim::Addr addr, LineState state)
-{
-    // Upgrade in place; never downgrade Modified to Shared here.
-    if (Line *line = findLine(addr)) {
-        touch(*line, state);
-        return {};
-    }
-    return fill(addr, state);
-}
-
 void
 Cache::setModified(sim::Addr addr)
 {

@@ -56,20 +56,13 @@ class Cache : public stats::Group
     /** @return state without touching LRU (for snoops / tests). */
     LineState probe(sim::Addr addr) const;
 
-    /** Result of inserting a line: what got evicted, if anything. */
+    /** What a fill displaced, if anything. */
     struct Victim
     {
         bool valid = false;      ///< an existing line was displaced
         sim::Addr lineAddr = 0;  ///< address of the displaced line
         bool dirty = false;      ///< displaced line was Modified
     };
-
-    /**
-     * Insert (fill) a line in @p state, evicting the LRU way if the set
-     * is full. If the line is already present its state is upgraded.
-     * @return the displaced victim, if any.
-     */
-    Victim insert(sim::Addr addr, LineState state);
 
     /** Outcome of findOrInsert(): previous state plus any victim. */
     struct FindOrInsertResult
@@ -82,13 +75,11 @@ class Cache : public stats::Group
     };
 
     /**
-     * Single-walk equivalent of `lookup(); if miss then insert(state)`:
-     * counts one hit or one miss, touches LRU exactly once, fills (and
-     * evicts, counting evictions/writebacks) only on a miss, and on a
-     * hit upgrades to Modified iff @p state is Modified (never
-     * downgrades). The observable counters and final tag state are
-     * bit-identical to the composed pair; the set is scanned once
-     * instead of twice.
+     * Look up a line and fill it on a miss, in one walk of the set:
+     * counts one hit or one miss, touches LRU exactly once, fills (in
+     * @p state, over the first Invalid way, else the LRU way, counting
+     * evictions/writebacks) only on a miss, and on a hit upgrades to
+     * Modified iff @p state is Modified (never downgrades).
      */
     FindOrInsertResult findOrInsert(sim::Addr addr, LineState state);
 

@@ -33,14 +33,14 @@ TEST_F(CacheTest, MissThenHit)
 {
     EXPECT_EQ(cache.lookup(0x1000), LineState::Invalid);
     EXPECT_EQ(cache.misses.value(), 1.0);
-    cache.insert(0x1000, LineState::Shared);
+    cache.findOrInsert(0x1000, LineState::Shared);
     EXPECT_EQ(cache.lookup(0x1000), LineState::Shared);
     EXPECT_EQ(cache.hits.value(), 1.0);
 }
 
 TEST_F(CacheTest, SubLineAddressesShareALine)
 {
-    cache.insert(0x1000, LineState::Shared);
+    cache.findOrInsert(0x1000, LineState::Shared);
     EXPECT_EQ(cache.lookup(0x103f), LineState::Shared);
     EXPECT_EQ(cache.lookup(0x1040), LineState::Invalid); // next line
 }
@@ -50,11 +50,12 @@ TEST_F(CacheTest, LruEvictsLeastRecentlyUsed)
     // Same set: addresses differ by sets*line = 1024.
     const sim::Addr base = 0x0;
     for (int i = 0; i < 4; ++i)
-        cache.insert(base + static_cast<sim::Addr>(i) * 1024,
-                     LineState::Shared);
+        cache.findOrInsert(base + static_cast<sim::Addr>(i) * 1024,
+                           LineState::Shared);
     // Touch line 0 so line 1 is LRU.
     cache.lookup(base);
-    Cache::Victim v = cache.insert(base + 4 * 1024, LineState::Shared);
+    const Cache::Victim v =
+        cache.findOrInsert(base + 4 * 1024, LineState::Shared).victim;
     ASSERT_TRUE(v.valid);
     EXPECT_EQ(v.lineAddr, base + 1024);
     EXPECT_FALSE(v.dirty);
@@ -65,9 +66,10 @@ TEST_F(CacheTest, LruEvictsLeastRecentlyUsed)
 TEST_F(CacheTest, DirtyVictimCountsWriteback)
 {
     for (int i = 0; i < 4; ++i)
-        cache.insert(static_cast<sim::Addr>(i) * 1024,
-                     LineState::Modified);
-    Cache::Victim v = cache.insert(4 * 1024, LineState::Shared);
+        cache.findOrInsert(static_cast<sim::Addr>(i) * 1024,
+                           LineState::Modified);
+    const Cache::Victim v =
+        cache.findOrInsert(4 * 1024, LineState::Shared).victim;
     ASSERT_TRUE(v.valid);
     EXPECT_TRUE(v.dirty);
     EXPECT_EQ(cache.writebacks.value(), 1.0);
@@ -76,19 +78,20 @@ TEST_F(CacheTest, DirtyVictimCountsWriteback)
 
 TEST_F(CacheTest, InsertUpgradesInPlace)
 {
-    cache.insert(0x2000, LineState::Shared);
-    Cache::Victim v = cache.insert(0x2000, LineState::Modified);
+    cache.findOrInsert(0x2000, LineState::Shared);
+    const Cache::Victim v =
+        cache.findOrInsert(0x2000, LineState::Modified).victim;
     EXPECT_FALSE(v.valid);
     EXPECT_EQ(cache.probe(0x2000), LineState::Modified);
     // Re-inserting Shared must not downgrade.
-    cache.insert(0x2000, LineState::Shared);
+    cache.findOrInsert(0x2000, LineState::Shared);
     EXPECT_EQ(cache.probe(0x2000), LineState::Modified);
     EXPECT_EQ(cache.validLines(), 1u);
 }
 
 TEST_F(CacheTest, InvalidateReturnsPreviousState)
 {
-    cache.insert(0x3000, LineState::Modified);
+    cache.findOrInsert(0x3000, LineState::Modified);
     EXPECT_EQ(cache.invalidate(0x3000), LineState::Modified);
     EXPECT_EQ(cache.probe(0x3000), LineState::Invalid);
     EXPECT_EQ(cache.invalidate(0x3000), LineState::Invalid);
@@ -97,7 +100,7 @@ TEST_F(CacheTest, InvalidateReturnsPreviousState)
 
 TEST_F(CacheTest, DowngradeOnlyAffectsModified)
 {
-    cache.insert(0x4000, LineState::Modified);
+    cache.findOrInsert(0x4000, LineState::Modified);
     EXPECT_TRUE(cache.downgrade(0x4000));
     EXPECT_EQ(cache.probe(0x4000), LineState::Shared);
     EXPECT_TRUE(cache.downgrade(0x4000)); // present, stays Shared
@@ -108,17 +111,18 @@ TEST_F(CacheTest, DowngradeOnlyAffectsModified)
 TEST_F(CacheTest, ProbeDoesNotTouchLru)
 {
     for (int i = 0; i < 4; ++i)
-        cache.insert(static_cast<sim::Addr>(i) * 1024,
-                     LineState::Shared);
+        cache.findOrInsert(static_cast<sim::Addr>(i) * 1024,
+                           LineState::Shared);
     cache.probe(0); // must NOT refresh line 0
-    Cache::Victim v = cache.insert(4 * 1024, LineState::Shared);
+    const Cache::Victim v =
+        cache.findOrInsert(4 * 1024, LineState::Shared).victim;
     ASSERT_TRUE(v.valid);
     EXPECT_EQ(v.lineAddr, 0u); // line 0 was still LRU
 }
 
 TEST_F(CacheTest, SetModifiedOnPresentLine)
 {
-    cache.insert(0x5000, LineState::Shared);
+    cache.findOrInsert(0x5000, LineState::Shared);
     cache.setModified(0x5000);
     EXPECT_EQ(cache.probe(0x5000), LineState::Modified);
 }
@@ -154,7 +158,7 @@ TEST_F(CacheTest, LineAtAddressZeroIsCached)
 {
     // Address 0 is a valid line: its tag must not read as empty.
     EXPECT_EQ(cache.lookup(0x0), LineState::Invalid);
-    cache.insert(0x0, LineState::Modified);
+    cache.findOrInsert(0x0, LineState::Modified);
     EXPECT_EQ(cache.lookup(0x10), LineState::Modified);
     EXPECT_EQ(cache.validLines(), 1u);
     EXPECT_EQ(cache.invalidate(0x0), LineState::Modified);
@@ -169,14 +173,18 @@ TEST_F(CacheTest, FillTakesFirstInvalidWayBeforeLru)
     // next fill evicts the least recently used survivor.
     const sim::Addr stride = 1024; // same set
     for (int i = 0; i < 4; ++i)
-        cache.insert(static_cast<sim::Addr>(i) * stride, LineState::Shared);
+        cache.findOrInsert(static_cast<sim::Addr>(i) * stride,
+                           LineState::Shared);
     cache.invalidate(1 * stride);
     cache.invalidate(3 * stride);
     cache.lookup(0); // way 2 (line 2*stride) is now LRU
-    EXPECT_FALSE(cache.insert(4 * stride, LineState::Shared).valid);
-    EXPECT_FALSE(cache.insert(5 * stride, LineState::Shared).valid);
+    EXPECT_FALSE(
+        cache.findOrInsert(4 * stride, LineState::Shared).victim.valid);
+    EXPECT_FALSE(
+        cache.findOrInsert(5 * stride, LineState::Shared).victim.valid);
     EXPECT_EQ(cache.evictions.value(), 0.0);
-    const Cache::Victim v = cache.insert(6 * stride, LineState::Shared);
+    const Cache::Victim v =
+        cache.findOrInsert(6 * stride, LineState::Shared).victim;
     ASSERT_TRUE(v.valid);
     EXPECT_EQ(v.lineAddr, 2 * stride);
 }
@@ -194,7 +202,7 @@ TEST_F(CacheTest, FindOrInsertMissFillsLine)
 
 TEST_F(CacheTest, FindOrInsertHitReportsPreviousStateAndUpgrades)
 {
-    cache.insert(0x1000, LineState::Shared);
+    cache.findOrInsert(0x1000, LineState::Shared);
     const auto r = cache.findOrInsert(0x1000, LineState::Modified);
     EXPECT_TRUE(r.hit());
     EXPECT_EQ(r.prev, LineState::Shared);
@@ -213,7 +221,8 @@ TEST_F(CacheTest, FindOrInsertEvictsExactlyLikeLookupPlusInsert)
     // merged walk must pick the same LRU victim the split path did
     // (see LruEvictsLeastRecentlyUsed) and count one eviction.
     for (int i = 0; i < 4; ++i)
-        cache.insert(static_cast<sim::Addr>(i) * 1024, LineState::Shared);
+        cache.findOrInsert(static_cast<sim::Addr>(i) * 1024,
+                           LineState::Shared);
     cache.lookup(0);
     const auto r = cache.findOrInsert(4 * 1024, LineState::Modified);
     EXPECT_FALSE(r.hit());
@@ -228,8 +237,8 @@ TEST_F(CacheTest, FindOrInsertEvictsExactlyLikeLookupPlusInsert)
 TEST_F(CacheTest, FindOrInsertDirtyVictimCountsWriteback)
 {
     for (int i = 0; i < 4; ++i)
-        cache.insert(static_cast<sim::Addr>(i) * 1024,
-                     LineState::Modified);
+        cache.findOrInsert(static_cast<sim::Addr>(i) * 1024,
+                           LineState::Modified);
     const auto r = cache.findOrInsert(4 * 1024, LineState::Shared);
     ASSERT_TRUE(r.victim.valid);
     EXPECT_TRUE(r.victim.dirty);
@@ -240,7 +249,7 @@ TEST_F(CacheTest, MruMemoSurvivesInvalidationAndFlush)
 {
     // A line just looked up must miss once invalidated: no lookup
     // reports a stale hit.
-    cache.insert(0x2000, LineState::Shared);
+    cache.findOrInsert(0x2000, LineState::Shared);
     EXPECT_EQ(cache.lookup(0x2000), LineState::Shared);
     cache.invalidate(0x2000);
     EXPECT_EQ(cache.lookup(0x2000), LineState::Invalid);
@@ -251,8 +260,8 @@ TEST_F(CacheTest, MruMemoDistinguishesLinesInOneSet)
 {
     // Two lines mapping to the same set: alternating lookups must each
     // revalidate against the full tag, not just the memoized way.
-    cache.insert(0x0, LineState::Shared);
-    cache.insert(1024, LineState::Modified); // same set, different tag
+    cache.findOrInsert(0x0, LineState::Shared);
+    cache.findOrInsert(1024, LineState::Modified); // same set, different tag
     EXPECT_EQ(cache.lookup(0x0), LineState::Shared);
     EXPECT_EQ(cache.lookup(1024), LineState::Modified);
     EXPECT_EQ(cache.lookup(0x0), LineState::Shared);
@@ -263,7 +272,7 @@ TEST_F(CacheTest, DifferentSetsDoNotConflict)
 {
     // Fill way beyond one set's capacity across different sets.
     for (int i = 0; i < 16; ++i)
-        cache.insert(static_cast<sim::Addr>(i) * 64, LineState::Shared);
+        cache.findOrInsert(static_cast<sim::Addr>(i) * 64, LineState::Shared);
     EXPECT_EQ(cache.evictions.value(), 0.0);
     EXPECT_EQ(cache.validLines(), 16u);
 }

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <list>
 #include <map>
 #include <tuple>
@@ -19,7 +20,11 @@ using namespace na::mem;
 
 namespace {
 
-/** Obviously-correct reference: per-set list, front == MRU. */
+/**
+ * Obviously-correct reference: per-set list of lines with their states,
+ * front == MRU. Invalidated lines leave the list, so a set evicts only
+ * when it holds assoc lines. Counts what Cache counts.
+ */
 class RefCache
 {
   public:
@@ -28,67 +33,131 @@ class RefCache
     {
     }
 
-    bool
+    /** What an insert displaced. */
+    struct Victim
+    {
+        bool valid = false;
+        sim::Addr lineAddr = 0;
+        bool dirty = false;
+    };
+
+    /** @return the line's state (Invalid on a miss); a hit becomes MRU. */
+    LineState
     lookup(sim::Addr addr)
     {
         auto &set = data[setOf(addr)];
-        const sim::Addr la = lineOf(addr);
-        for (auto it = set.begin(); it != set.end(); ++it) {
-            if (*it == la) {
-                set.splice(set.begin(), set, it);
-                return true;
-            }
+        const auto it = find(set, addr);
+        if (it == set.end()) {
+            ++misses;
+            return LineState::Invalid;
         }
-        return false;
+        ++hits;
+        set.splice(set.begin(), set, it);
+        return set.front().state;
     }
 
-    void
-    insert(sim::Addr addr)
+    /**
+     * Fill a line in @p state as MRU, evicting the LRU line of a full
+     * set; a present line becomes MRU and is upgraded, never downgraded.
+     */
+    Victim
+    insert(sim::Addr addr, LineState state)
     {
         auto &set = data[setOf(addr)];
-        const sim::Addr la = lineOf(addr);
-        for (auto it = set.begin(); it != set.end(); ++it) {
-            if (*it == la) {
-                set.splice(set.begin(), set, it);
-                return;
-            }
+        const auto it = find(set, addr);
+        if (it != set.end()) {
+            set.splice(set.begin(), set, it);
+            if (state == LineState::Modified)
+                set.front().state = state;
+            return {};
         }
-        if (set.size() >= assoc)
+        Victim victim;
+        if (set.size() >= assoc) {
+            victim = {true, set.back().addr,
+                      set.back().state == LineState::Modified};
+            ++evictions;
+            writebacks += victim.dirty;
             set.pop_back();
-        set.push_front(la);
-    }
-
-    bool
-    present(sim::Addr addr) const
-    {
-        auto it = data.find(setOf(addr));
-        if (it == data.end())
-            return false;
-        const sim::Addr la = lineOf(addr);
-        for (sim::Addr v : it->second) {
-            if (v == la)
-                return true;
         }
-        return false;
+        set.push_front({lineOf(addr), state});
+        return victim;
     }
 
-    void
-    erase(sim::Addr addr)
+    /** @return the line's previous state; the line leaves its set. */
+    LineState
+    invalidate(sim::Addr addr)
     {
         auto &set = data[setOf(addr)];
-        set.remove(lineOf(addr));
+        const auto it = find(set, addr);
+        if (it == set.end())
+            return LineState::Invalid;
+        const LineState prev = it->state;
+        set.erase(it);
+        ++snoopInvalidations;
+        return prev;
     }
+
+    /** Modified -> Shared. @return true if the line was present. */
+    bool
+    downgrade(sim::Addr addr)
+    {
+        auto &set = data[setOf(addr)];
+        const auto it = find(set, addr);
+        if (it == set.end())
+            return false;
+        it->state = LineState::Shared;
+        return true;
+    }
+
+    /** @return the line's state, without touching LRU. */
+    LineState
+    probe(sim::Addr addr)
+    {
+        auto &set = data[setOf(addr)];
+        const auto it = find(set, addr);
+        return it == set.end() ? LineState::Invalid : it->state;
+    }
+
+    std::uint64_t
+    validLines() const
+    {
+        std::uint64_t n = 0;
+        for (const auto &[index, set] : data)
+            n += set.size();
+        return n;
+    }
+
+    double hits = 0;
+    double misses = 0;
+    double evictions = 0;
+    double writebacks = 0;
+    double snoopInvalidations = 0;
 
   private:
+    struct Line
+    {
+        sim::Addr addr;
+        LineState state;
+    };
+    using Set = std::list<Line>;
+
     unsigned sets;
     unsigned assoc;
     unsigned line;
-    std::map<unsigned, std::list<sim::Addr>> data;
+    std::map<unsigned, Set> data;
 
     sim::Addr lineOf(sim::Addr a) const { return a / line * line; }
     unsigned setOf(sim::Addr a) const
     {
         return static_cast<unsigned>((a / line) % sets);
+    }
+
+    Set::iterator
+    find(Set &set, sim::Addr addr) const
+    {
+        const sim::Addr la = lineOf(addr);
+        return std::find_if(set.begin(), set.end(),
+                            [la](const Line &l) { return l.addr == la; });
     }
 };
 
@@ -115,14 +184,12 @@ TEST_P(CacheVsReference, RandomStreamAgrees)
         const sim::Addr addr =
             rng.chance(0.7) ? rng.range(0, sets * assoc * line / 2)
                             : rng.range(0, 1u << 20);
-        const bool hit = cache.lookup(addr) != LineState::Invalid;
-        const bool ref_hit = ref.lookup(addr);
+        const bool hit = cache.findOrInsert(addr, LineState::Shared).hit();
+        const bool ref_hit = ref.lookup(addr) != LineState::Invalid;
+        if (!ref_hit)
+            ref.insert(addr, LineState::Shared);
         ASSERT_EQ(hit, ref_hit) << "divergence at access " << i
                                 << " addr " << addr;
-        if (!hit) {
-            cache.insert(addr, LineState::Shared);
-            ref.insert(addr);
-        }
     }
 }
 
@@ -141,18 +208,16 @@ TEST_P(CacheVsReference, InvalidationsAgree)
         const sim::Addr addr = rng.range(0, 1u << 16);
         if (rng.chance(0.2)) {
             // Random snoop invalidation, mirrored in the reference.
-            ASSERT_EQ(cache.probe(addr) != LineState::Invalid,
-                      ref.present(addr));
+            ASSERT_EQ(cache.probe(addr), ref.probe(addr));
             cache.invalidate(addr);
-            ref.erase(addr);
+            ref.invalidate(addr);
         } else {
-            const bool hit = cache.lookup(addr) != LineState::Invalid;
-            const bool ref_hit = ref.lookup(addr);
+            const bool hit =
+                cache.findOrInsert(addr, LineState::Shared).hit();
+            const bool ref_hit = ref.lookup(addr) != LineState::Invalid;
+            if (!ref_hit)
+                ref.insert(addr, LineState::Shared);
             ASSERT_EQ(hit, ref_hit) << "divergence at access " << i;
-            if (!hit) {
-                cache.insert(addr, LineState::Shared);
-                ref.insert(addr);
-            }
         }
     }
     EXPECT_LE(cache.validLines(),
@@ -160,32 +225,32 @@ TEST_P(CacheVsReference, InvalidationsAgree)
 }
 
 /**
- * The merged findOrInsert fast path against the composed
- * lookup -> insert -> setModified sequence it replaced: same hit/miss
- * answers, same victims, same counters, on a mixed stream of reads,
- * writes, snoop invalidations, and snoop downgrades. This is the
- * equivalence the hierarchy's bit-identical results rest on.
+ * findOrInsert against the reference's composed lookup -> insert ->
+ * upgrade sequence: same previous states, victims, counters and line
+ * states, on a mixed stream of reads, writes, snoop invalidations, and
+ * snoop downgrades. This is the equivalence the hierarchy's
+ * bit-identical results rest on.
  */
 TEST_P(CacheVsReference, FindOrInsertMatchesComposedPath)
 {
     const auto [assoc, line, seed] = GetParam();
     const unsigned sets = 8;
-    const std::uint64_t bytes =
-        static_cast<std::uint64_t>(sets) * assoc * line;
     stats::Group root(nullptr, "");
-    Cache merged(&root, "m", bytes, assoc, line);
-    Cache composed(&root, "c", bytes, assoc, line);
+    Cache cache(&root, "c",
+                static_cast<std::uint64_t>(sets) * assoc * line, assoc,
+                line);
+    RefCache ref(sets, assoc, line);
     sim::Random rng(seed * 97 + 13);
 
     for (int i = 0; i < 12000; ++i) {
         const sim::Addr addr = rng.range(0, 1u << 16);
         if (rng.chance(0.08)) {
-            ASSERT_EQ(merged.invalidate(addr), composed.invalidate(addr))
+            ASSERT_EQ(cache.invalidate(addr), ref.invalidate(addr))
                 << "invalidate divergence at access " << i;
             continue;
         }
         if (rng.chance(0.08)) {
-            ASSERT_EQ(merged.downgrade(addr), composed.downgrade(addr))
+            ASSERT_EQ(cache.downgrade(addr), ref.downgrade(addr))
                 << "downgrade divergence at access " << i;
             continue;
         }
@@ -193,15 +258,14 @@ TEST_P(CacheVsReference, FindOrInsertMatchesComposedPath)
         const LineState want =
             write ? LineState::Modified : LineState::Shared;
 
-        // Composed legacy path (what CacheHierarchy::access used to do).
-        const LineState prev = composed.lookup(addr);
-        Cache::Victim victim;
+        const LineState prev = ref.lookup(addr);
+        RefCache::Victim victim;
         if (prev == LineState::Invalid)
-            victim = composed.insert(addr, want);
-        else if (write && prev != LineState::Modified)
-            composed.setModified(addr);
+            victim = ref.insert(addr, want);
+        else if (write)
+            ref.insert(addr, want);
 
-        const auto r = merged.findOrInsert(addr, want);
+        const auto r = cache.findOrInsert(addr, want);
         ASSERT_EQ(r.prev, prev) << "state divergence at access " << i
                                 << " addr " << addr;
         ASSERT_EQ(r.victim.valid, victim.valid)
@@ -212,15 +276,16 @@ TEST_P(CacheVsReference, FindOrInsertMatchesComposedPath)
             ASSERT_EQ(r.victim.dirty, victim.dirty)
                 << "victim dirtiness divergence at access " << i;
         }
+        ASSERT_EQ(cache.probe(addr), ref.probe(addr))
+            << "line state divergence at access " << i;
     }
 
-    EXPECT_EQ(merged.hits.value(), composed.hits.value());
-    EXPECT_EQ(merged.misses.value(), composed.misses.value());
-    EXPECT_EQ(merged.evictions.value(), composed.evictions.value());
-    EXPECT_EQ(merged.writebacks.value(), composed.writebacks.value());
-    EXPECT_EQ(merged.snoopInvalidations.value(),
-              composed.snoopInvalidations.value());
-    EXPECT_EQ(merged.validLines(), composed.validLines());
+    EXPECT_EQ(cache.hits.value(), ref.hits);
+    EXPECT_EQ(cache.misses.value(), ref.misses);
+    EXPECT_EQ(cache.evictions.value(), ref.evictions);
+    EXPECT_EQ(cache.writebacks.value(), ref.writebacks);
+    EXPECT_EQ(cache.snoopInvalidations.value(), ref.snoopInvalidations);
+    EXPECT_EQ(cache.validLines(), ref.validLines());
 }
 
 INSTANTIATE_TEST_SUITE_P(

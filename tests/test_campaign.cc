@@ -181,6 +181,8 @@ TEST(Campaign, BadPlatformGeometryIsRejectedNamingPointAndField)
          "cacheGeometry.l2Size"},
         {[](cpu::PlatformConfig &p) { p.dtlbEntries = 0; },
          "dtlbEntries"},
+        {[](cpu::PlatformConfig &p) { p.dtlbEntries = 4097; },
+         "dtlbEntries"},
         {[](cpu::PlatformConfig &p) { p.itlbEntries = 0; },
          "itlbEntries"},
     };

@@ -235,6 +235,28 @@ TEST(ConfigValidate, RejectsEmptyTlbs)
     EXPECT_NO_THROW(cfg.validate());
 }
 
+TEST(ConfigValidate, CapsTlbEntriesAt4096)
+{
+    // Each TLB allocates its entries up front, so an unbounded count
+    // would be an unbounded allocation.
+    core::SystemConfig cfg = goodConfig();
+    cfg.platform.itlbEntries = 4096;
+    cfg.platform.dtlbEntries = 4096;
+    EXPECT_NO_THROW(cfg.validate());
+
+    cfg = goodConfig();
+    cfg.platform.dtlbEntries = 4097;
+    expectRejectsNaming(cfg, "dtlbEntries");
+
+    cfg = goodConfig();
+    cfg.platform.itlbEntries = 4097;
+    expectRejectsNaming(cfg, "itlbEntries");
+
+    cfg = goodConfig();
+    cfg.platform.dtlbEntries = 1000000000;
+    expectRejectsNaming(cfg, "dtlbEntries");
+}
+
 TEST(ConfigValidate, RejectsNegativeOrNonFiniteChargeRates)
 {
     const double nan = std::numeric_limits<double>::quiet_NaN();
