@@ -6,7 +6,7 @@
  *
  * Usage:
  *   ./build/examples/affinity_sweep [--rx] [--conns N] [--cpus N]
- *                                   [--size BYTES] [--loss P]
+ *                                   [--size BYTES]
  *                                   [--threads N] [--seed S]
  *                                   [--json PATH]
  *                                   [--steering static|rss|fd]
@@ -95,8 +95,6 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--size") && i + 1 < argc) {
             cfg.ttcp().msgSize =
                 flagValue<std::uint32_t>(flag, argv[++i]);
-        } else if (!std::strcmp(argv[i], "--loss") && i + 1 < argc) {
-            cfg.wireLossProb = flagValue<double>(flag, argv[++i]);
         } else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
             options.numThreads = flagValue<int>(flag, argv[++i]);
         } else if (!std::strcmp(argv[i], "--seed") && i + 1 < argc) {
@@ -169,7 +167,7 @@ main(int argc, char **argv)
         } else {
             std::fprintf(stderr,
                          "usage: %s [--rx] [--conns N] [--cpus N] "
-                         "[--size BYTES] [--loss P] [--threads N] "
+                         "[--size BYTES] [--threads N] "
                          "[--seed S] [--json PATH] "
                          "[--steering static|rss|fd] [--queues N] "
                          "[--interval-stats US] [--timeline PATH] "

@@ -7,7 +7,6 @@
 #include <mutex>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "src/core/env.hh"
@@ -200,20 +199,11 @@ Campaign::run(std::vector<CampaignPoint> points, const Options &options)
         }
     }
 
-    // Canonical keys: pointKeys throws on a text collision, so equal
-    // keys mean identical points (possible with derivePointSeeds off).
-    // Those execute once; later duplicates alias the first slot.
-    constexpr std::size_t no_alias = static_cast<std::size_t>(-1);
+    // Canonical keys for resume and the JSONL stream. pointKeys throws
+    // on a text collision. Equal keys (possible with derivePointSeeds
+    // off) still run separately: the key does not cover every field,
+    // so two points that share one may differ.
     const std::vector<std::uint64_t> keys = pointKeys(points);
-    std::vector<std::size_t> alias(points.size(), no_alias);
-    {
-        std::unordered_map<std::uint64_t, std::size_t> first;
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            const auto [it, fresh] = first.emplace(keys[i], i);
-            if (!fresh)
-                alias[i] = it->second;
-        }
-    }
 
     std::vector<RunResult> results(points.size());
     std::vector<char> prefilled(points.size(), 0);
@@ -222,8 +212,6 @@ Campaign::run(std::vector<CampaignPoint> points, const Options &options)
         const JsonlFile prior = readResultsJsonlFile(options.resumeFrom);
         const auto latest = prior.latestByKey();
         for (std::size_t i = 0; i < points.size(); ++i) {
-            if (alias[i] != no_alias)
-                continue;
             const auto it = latest.find(keys[i]);
             if (it == latest.end())
                 continue;
@@ -237,11 +225,11 @@ Campaign::run(std::vector<CampaignPoint> points, const Options &options)
         }
     }
 
-    // The points this process actually executes: not resumed, not a
-    // duplicate, and owned by this shard of the partition.
+    // The points this process actually executes: not resumed, and
+    // owned by this shard of the partition.
     std::vector<std::size_t> queue;
     for (std::size_t i = 0; i < points.size(); ++i) {
-        if (alias[i] != no_alias || prefilled[i])
+        if (prefilled[i])
             continue;
         if (static_cast<int>(i % static_cast<std::size_t>(
                                      options.shardCount)) !=
@@ -373,13 +361,6 @@ Campaign::run(std::vector<CampaignPoint> points, const Options &options)
             pool.emplace_back(work);
         for (std::thread &t : pool)
             t.join();
-    }
-
-    // Duplicate points never ran; alias them to the first copy's
-    // result now that the pool has drained.
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        if (alias[i] != no_alias)
-            results[i] = results[alias[i]];
     }
 
     ResultSet rs(std::move(points), std::move(results));

@@ -107,8 +107,8 @@ class Campaign
     {
         /** Points finished by this run so far (incl. failures). */
         std::size_t completed = 0;
-        /** Points this run will execute (after resume-skip, shard
-         *  filtering, and dedupe). */
+        /** Points this run will execute (after resume-skip and shard
+         *  filtering). */
         std::size_t total = 0;
         /** Failed points among `completed`. */
         std::size_t failures = 0;

@@ -20,6 +20,17 @@ dblText(double v)
     return std::string(buf, ptr);
 }
 
+/** Comma-separated fault knobs of one wire direction, in field order. */
+std::string
+faultDirectionText(const sim::FaultDirection &d)
+{
+    return dblText(d.lossProb) + "," + dblText(d.geGoodToBad) + "," +
+           dblText(d.geBadToGood) + "," + dblText(d.geBadLoss) + "," +
+           dblText(d.corruptProb) + "," + dblText(d.dupProb) + "," +
+           dblText(d.reorderProb) + "," +
+           std::to_string(d.reorderDelayTicks);
+}
+
 } // namespace
 
 std::uint64_t
@@ -42,25 +53,36 @@ canonicalPointText(const SystemConfig &config,
 {
     // summary() carries the sweep-axis fields: workload (mode/size or
     // mix spec label), affinity, connections, cpus, steering kind and
-    // queue count, IRQ rotation, and the fault-plan label. Everything
-    // below extends it with the identity-relevant fields summary()
-    // omits. The "|k=v" framing keeps fields unambiguous even where a
-    // label could contain spaces.
+    // queue count, IRQ rotation, and the fault-plan label (its tag).
+    // Everything below extends it with the identity-relevant fields
+    // summary() omits. The "|k=v" framing keeps fields unambiguous even
+    // where a label could contain spaces.
     std::string t = config.summary();
     t += "|seed=" + std::to_string(config.platform.seed);
     t += "|freq=" + dblText(config.platform.freqHz);
     t += "|wire=" + dblText(config.wireBitsPerSec);
     t += "," + std::to_string(config.wireLatencyTicks);
-    t += "," + dblText(config.wireLossProb);
-    // A run always has one event queue, but the field stays in the
-    // text so keys of existing JSONL stores still match on resume.
-    t += "|lanes=1";
+    // The wire has no loss knob of its own (loss comes only from the
+    // fault plan), and a run always has one event queue, but both
+    // fields stay in the text so keys of existing JSONL stores and
+    // perfbench's references still match.
+    t += ",0|lanes=1";
     t += "|iv=" + dblText(config.statsIntervalUs);
     t += "|sched=" + std::to_string(schedule.establishDeadline);
     t += "," + std::to_string(schedule.warmup);
     t += "," + std::to_string(schedule.measure);
     t += "," + std::to_string(schedule.maxWindows);
     t += "," + dblText(schedule.convergeTolerance);
+    // A disabled plan adds nothing, so fault-free keys are unchanged.
+    if (const sim::FaultPlan &f = config.faults; f.enabled()) {
+        t += "|faults=" + faultDirectionText(f.toPeer);
+        t += ";" + faultDirectionText(f.toSut);
+        t += ";" + std::to_string(f.linkFlapPeriodTicks);
+        t += "," + std::to_string(f.linkFlapDownTicks);
+        t += "," + std::to_string(f.rxStallPeriodTicks);
+        t += "," + std::to_string(f.rxStallTicks);
+        t += "," + dblText(f.irqLossProb);
+    }
     return t;
 }
 

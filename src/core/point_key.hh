@@ -1,17 +1,18 @@
 /**
  * @file
- * Canonical campaign-point identity: the resume/shard/dedupe key.
+ * Canonical campaign-point identity: the resume/shard key.
  *
  * A PointKey is a stable 64-bit hash (FNV-1a) over a canonical text
- * serialization of everything that determines a point's result:
+ * serialization of the fields that determine a point's result:
  * SystemConfig::summary()-grade config fields, the platform seed, the
- * wire parameters, the observability knob, and the RunSchedule.
- * Two points with the same key produce bit-identical results, so:
+ * wire parameters, the observability knob, every parameter of an
+ * enabled fault plan, and the RunSchedule. Keys are used so that:
  *
  *  - resumable sweeps skip points whose key already has a successful
- *    record in a results JSONL stream,
- *  - shard merges match records back to submission slots by key, and
- *  - campaigns dedupe identical points (same key -> run once).
+ *    record in a results JSONL stream, and
+ *  - shard merges match records back to submission slots by key.
+ *
+ * Within one campaign every point runs, even when two share a key.
  *
  * Keys are process- and platform-stable: the canonical text is built
  * with locale-independent formatting (std::to_chars for doubles) and

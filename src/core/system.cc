@@ -112,13 +112,6 @@ SystemConfig::validate() const
             "(a zero-rate wire never delivers a segment)",
             wireBitsPerSec));
     }
-    if (std::isnan(wireLossProb) || wireLossProb < 0.0 ||
-        wireLossProb > 1.0) {
-        throw std::runtime_error(sim::format(
-            "SystemConfig: wireLossProb must be a probability in "
-            "[0, 1], got %g",
-            wireLossProb));
-    }
     workload::validateSpec(workload);
     if (std::isnan(statsIntervalUs) || statsIntervalUs < 0.0) {
         throw std::runtime_error(sim::format(
@@ -303,8 +296,7 @@ System::System(const SystemConfig &config)
     for (int i = 0; i < cfg.numConnections; ++i) {
         wires.push_back(std::make_unique<net::Wire>(
             this, sim::format("wire%d", i), eq, cfg.platform.freqHz,
-            cfg.wireBitsPerSec, cfg.wireLatencyTicks, cfg.wireLossProb,
-            cfg.platform.seed * 131 + static_cast<std::uint64_t>(i)));
+            cfg.wireBitsPerSec, cfg.wireLatencyTicks));
         nics.push_back(std::make_unique<net::Nic>(
             this, sim::format("nic%d", i), i, *kern, *pool, *wires[i],
             nic_cfg));
@@ -312,9 +304,6 @@ System::System(const SystemConfig &config)
         drv->attachNic(*nics[i]);
 
         if (cfg.faults.enabled()) {
-            // Seed stream disjoint from the wires' (131-stride) so
-            // adding faults never perturbs the loss RNG of runs that
-            // also set wireLossProb.
             faultInjectors.push_back(
                 std::make_unique<net::FaultInjector>(
                     this, sim::format("faults%d", i), cfg.faults,
@@ -519,19 +508,8 @@ void
 System::endMeasurement()
 {
     kern->finalizeIdle(eq.now());
-    if (recorder) {
+    if (recorder)
         recorder->finalize();
-        // beginMeasurement's resetStats() cleared the series, so the
-        // windows recorded here cover exactly one measurement.
-        for (const prof::IntervalWindow &w :
-             recorder->series().windows) {
-            std::uint64_t frames = 0;
-            for (std::uint64_t q : w.rxFramesPerQueue)
-                frames += q;
-            rxFrameTimeline.record(w.start, w.end,
-                                   static_cast<double>(frames));
-        }
-    }
 }
 
 std::uint64_t

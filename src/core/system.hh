@@ -54,7 +54,6 @@ struct SystemConfig
     net::NicConfig nic{};
     double wireBitsPerSec = 1.0e9;
     sim::Tick wireLatencyTicks = 10'000; ///< 5 us
-    double wireLossProb = 0.0;
     int skbPoolSlots = 0; ///< 0 = sized automatically
     /**
      * Linux-2.6-style rotating IRQ distribution interval (0 = static
@@ -240,12 +239,6 @@ class System : public stats::Group
     std::uint64_t senderHops = 0;
     int hopRound = 0;
     void hopSenderTasks();
-    /** RX frames per interval window, all queues — the interval
-     *  recorder's headline series surfaced through the stats tree
-     *  (sysdump shows it). Populated at endMeasurement. */
-    stats::TimeSeries rxFrameTimeline{
-        this, "rx_frame_timeline",
-        "frames received per interval-stats window"};
     /** Declared after eq/kern/nics: destroyed first, deschedules off
      *  eq while it is still alive, reads counters from live NICs. */
     std::unique_ptr<prof::IntervalRecorder> recorder;

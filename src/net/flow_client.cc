@@ -9,9 +9,6 @@
 namespace na::net {
 
 namespace {
-/** Client-side delayed-ACK latency (fast client boxes, 1 ms). */
-constexpr sim::Tick peerDelackTicks = 2'000'000;
-
 /** log2 size-bucket count: covers flow sizes up to 2^40 - 1 bytes. */
 constexpr std::size_t sizeBucketCount = 41;
 
@@ -28,25 +25,21 @@ bucketIndex(std::uint64_t bytes)
 } // namespace
 
 FlowClientPeer::CFlow::CFlow(FlowClientPeer &owner)
-    : conn(owner.cfg.tcp),
-      // Cheap static names on the hot path; reset() builds the
-      // per-flow name only while event tracing is on.
-      rtoEvent("cflow.rto",
-               [&owner, this] {
-                   conn.onRtoTimer(owner.eq.now());
-                   owner.flowTimerFired(*this);
-               }),
-      delackEvent("cflow.delack", [&owner, this] {
-          owner.scratch.clear();
-          conn.onDelackTimer(owner.eq.now(), owner.scratch);
-          for (const Segment &seg : owner.scratch) {
-              Packet pkt;
-              pkt.flow = key;
-              pkt.seg = seg;
-              owner.wire.sendFromB(pkt);
-          }
-          owner.flowTimerFired(*this);
-      })
+    // Cheap static names on the hot path; reset() builds the per-flow
+    // name only while event tracing is on.
+    : PeerConn(
+          "cflow", FlowKey{}, owner.cfg.tcp,
+          [&owner, this] {
+              conn.onRtoTimer(owner.eq.now());
+              owner.flowTimerFired(*this);
+          },
+          [&owner, this] {
+              // The flow pumps after its delayed ACK goes out.
+              owner.scratch.clear();
+              conn.onDelackTimer(owner.eq.now(), owner.scratch);
+              send(owner.wire, owner.scratch);
+              owner.flowTimerFired(*this);
+          })
 {
 }
 
@@ -112,10 +105,8 @@ FlowClientPeer::~FlowClientPeer()
 {
     eq.deschedule(&arrivalEvent);
     eq.deschedule(&reapEvent);
-    for (auto &[key, f] : flows) {
-        eq.deschedule(&f->rtoEvent);
-        eq.deschedule(&f->delackEvent);
-    }
+    for (auto &[key, f] : flows)
+        f->disarm(eq);
 }
 
 void
@@ -287,41 +278,10 @@ FlowClientPeer::pumpFlow(CFlow &f)
             }
         }
     }
-    sendSegments(f);
-    updateTimers(f);
-}
-
-void
-FlowClientPeer::sendSegments(CFlow &f)
-{
     scratch.clear();
     f.conn.pullSegments(eq.now(), scratch);
-    for (const Segment &seg : scratch) {
-        Packet pkt;
-        pkt.flow = f.key;
-        pkt.seg = seg;
-        wire.sendFromB(pkt);
-    }
-}
-
-void
-FlowClientPeer::updateTimers(CFlow &f)
-{
-    const sim::Tick rto = f.conn.rtoDeadline();
-    if (rto == sim::maxTick) {
-        eq.deschedule(&f.rtoEvent);
-    } else {
-        const sim::Tick when = rto > eq.now() ? rto : eq.now() + 1;
-        if (!f.rtoEvent.scheduled() || f.rtoEvent.when() != when)
-            eq.reschedule(&f.rtoEvent, when);
-    }
-
-    if (f.conn.delackPending()) {
-        if (!f.delackEvent.scheduled())
-            eq.schedule(&f.delackEvent, eq.now() + peerDelackTicks);
-    } else if (f.delackEvent.scheduled()) {
-        eq.deschedule(&f.delackEvent);
-    }
+    f.send(wire, scratch);
+    f.armTimers(eq);
 }
 
 bool
@@ -369,12 +329,7 @@ FlowClientPeer::onPacket(const Packet &pkt)
     CFlow &f = *it->second;
     scratch.clear();
     f.conn.onSegment(pkt.seg, eq.now(), scratch);
-    for (const Segment &seg : scratch) {
-        Packet out;
-        out.flow = f.key;
-        out.seg = seg;
-        wire.sendFromB(out);
-    }
+    f.send(wire, scratch);
     pumpFlow(f);
     if (completed(f))
         scheduleReap(f);
@@ -399,8 +354,7 @@ FlowClientPeer::reapCompleted()
         if (!completed(f))
             continue;
         recordCompletion(f);
-        eq.deschedule(&f.rtoEvent);
-        eq.deschedule(&f.delackEvent);
+        f.disarm(eq);
         flowPool.push_back(std::move(it->second));
         flows.erase(it);
     }

@@ -11,9 +11,9 @@
  * RPC exchanges, and actively close when done — exercising the SUT's
  * listen/accept path, connection-table churn, and socket recycling.
  *
- * Every flow runs its own TcpConnection with per-flow RTO/delayed-ACK
- * events (no per-packet scans over the population), so 10k concurrent
- * flows cost O(1) per packet on the client side.
+ * Every flow is its own PeerConn — a TcpConnection with per-flow
+ * RTO/delayed-ACK events (no per-packet scans over the population) —
+ * so 10k concurrent flows cost O(1) per packet on the client side.
  */
 
 #ifndef NETAFFINITY_NET_FLOW_CLIENT_HH
@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "src/net/flow.hh"
+#include "src/net/peer.hh"
 #include "src/net/tcp_connection.hh"
 #include "src/net/wire.hh"
 #include "src/sim/event_queue.hh"
@@ -127,21 +128,17 @@ class FlowClientPeer : public stats::Group
 
   private:
     /**
-     * One live client-side flow. Recycled through flowPool: the member
-     * events (and their captures) survive reuse; reset() re-arms the
-     * protocol state for the next flow.
+     * One live client-side flow. Recycled through flowPool: the
+     * endpoint's events (and their captures) survive reuse; reset()
+     * re-arms the protocol state for the next flow.
      */
-    struct CFlow
+    struct CFlow : PeerConn
     {
-        FlowKey key;
-        TcpConnection conn;
         std::uint64_t targetBytes = 0; ///< bulk mode: bytes to send
         std::uint64_t sent = 0;        ///< bytes appended so far
         int exchangesDone = 0;         ///< rpc mode
         bool requestOutstanding = false;
         std::uint64_t respConsumed = 0;
-        sim::LambdaEvent rtoEvent;
-        sim::LambdaEvent delackEvent;
 
         explicit CFlow(FlowClientPeer &owner);
 
@@ -180,8 +177,6 @@ class FlowClientPeer : public stats::Group
     std::uint32_t drawFlowSize();
     FlowKey mintKey();
     void pumpFlow(CFlow &f);
-    void sendSegments(CFlow &f);
-    void updateTimers(CFlow &f);
     bool completed(const CFlow &f) const;
     /**
      * Queue @p f for reaping on a same-tick event. Reaping destroys

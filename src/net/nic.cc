@@ -35,8 +35,7 @@ Nic::TxDmaEvent::process()
     if (dataAddr && dmaLen)
         nic.kernel.snoopDomain().dma(dataAddr, dmaLen);
     nic.wire.sendFromA(pkt);
-    nextFree = nic.freeTxDma;
-    nic.freeTxDma = this;
+    nic.txDmaEvents.release(this);
 }
 
 Nic::TxDoneEvent::TxDoneEvent(Nic &nic_ref)
@@ -53,8 +52,7 @@ Nic::TxDoneEvent::process()
     // TX completions always signal through queue 0's vector (one TX
     // ring, legacy e1000 wiring).
     nic.requestIrq(0);
-    nextFree = nic.freeTxDone;
-    nic.freeTxDone = this;
+    nic.txDoneEvents.release(this);
 }
 
 Nic::ModerationEvent::ModerationEvent(Nic &nic_ref, int queue_idx)
@@ -91,7 +89,9 @@ Nic::Nic(stats::Group *parent, const std::string &name, int index,
       idx(index), kernel(kernel_ref), pool(pool_ref), wire(wire_ref),
       cfg(config),
       txLock(this, "tx_lock", prof::FuncId::LockDevQueue,
-             kernel_ref.addressSpace().alloc(mem::Region::KernelData, 64))
+             kernel_ref.addressSpace().alloc(mem::Region::KernelData, 64)),
+      txDmaEvents(kernel_ref.eventQueue()),
+      txDoneEvents(kernel_ref.eventQueue())
 {
     if (cfg.numRxQueues < 1)
         sim::fatal("NIC %d: numRxQueues must be >= 1, got %d", index,
@@ -142,47 +142,14 @@ Nic::Nic(stats::Group *parent, const std::string &name, int index,
 
 Nic::~Nic()
 {
-    // The event queue may outlive this NIC; take our member and pooled
-    // events off it so their destructors don't see them scheduled.
+    // The event queue may outlive this NIC; take the moderation events
+    // off it so their destructors don't see them scheduled (the pools
+    // do the same for theirs).
     sim::EventQueue &eq = kernel.eventQueue();
     for (auto &q : queues) {
         if (q.moderation->scheduled())
             eq.deschedule(q.moderation.get());
     }
-    for (auto &ev : txDmaEvents) {
-        if (ev->scheduled())
-            eq.deschedule(ev.get());
-    }
-    for (auto &ev : txDoneEvents) {
-        if (ev->scheduled())
-            eq.deschedule(ev.get());
-    }
-}
-
-Nic::TxDmaEvent *
-Nic::allocTxDmaEvent()
-{
-    if (freeTxDma) {
-        TxDmaEvent *ev = freeTxDma;
-        freeTxDma = ev->nextFree;
-        ev->nextFree = nullptr;
-        return ev;
-    }
-    txDmaEvents.push_back(std::make_unique<TxDmaEvent>(*this));
-    return txDmaEvents.back().get();
-}
-
-Nic::TxDoneEvent *
-Nic::allocTxDoneEvent()
-{
-    if (freeTxDone) {
-        TxDoneEvent *ev = freeTxDone;
-        freeTxDone = ev->nextFree;
-        ev->nextFree = nullptr;
-        return ev;
-    }
-    txDoneEvents.push_back(std::make_unique<TxDoneEvent>(*this));
-    return txDoneEvents.back().get();
 }
 
 int
@@ -225,13 +192,13 @@ Nic::xmitFrame(os::ExecContext &ctx, const Packet &pkt,
         bits / wire.bitsPerSec() * kernel.config().freqHz));
     const sim::Tick start = kernel.now() + cfg.dmaDelayTicks;
 
-    TxDmaEvent *dma_ev = allocTxDmaEvent();
+    TxDmaEvent *dma_ev = txDmaEvents.acquire(*this);
     dma_ev->pkt = pkt;
     dma_ev->dataAddr = data_addr;
     dma_ev->dmaLen = pkt.seg.len;
     kernel.eventQueue().schedule(dma_ev, start);
 
-    TxDoneEvent *done_ev = allocTxDoneEvent();
+    TxDoneEvent *done_ev = txDoneEvents.acquire(*this);
     done_ev->pkt = pkt;
     done_ev->descIdx = desc;
     kernel.eventQueue().schedule(done_ev, start + ser_ticks);

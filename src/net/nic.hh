@@ -28,6 +28,7 @@
 #include "src/net/segment.hh"
 #include "src/net/skb.hh"
 #include "src/net/wire.hh"
+#include "src/sim/event_pool.hh"
 #include "src/sim/event_queue.hh"
 #include "src/sim/types.hh"
 #include "src/stats/stats.hh"
@@ -168,11 +169,7 @@ class Nic : public stats::Group
         int descIdx;
     };
 
-    /**
-     * DMA pull from the doorbell to the wire handoff. Pooled per NIC
-     * through an intrusive freelist so the steady-state TX path
-     * allocates nothing (no name string or closure per frame).
-     */
+    /** DMA pull from the doorbell to the wire handoff. Pooled. */
     class TxDmaEvent : public sim::Event
     {
       public:
@@ -182,7 +179,6 @@ class Nic : public stats::Group
         Packet pkt;
         sim::Addr dataAddr = 0;
         std::uint32_t dmaLen = 0;
-        TxDmaEvent *nextFree = nullptr; ///< intrusive freelist link
 
       private:
         Nic &nic;
@@ -197,7 +193,6 @@ class Nic : public stats::Group
 
         Packet pkt;
         int descIdx = 0;
-        TxDoneEvent *nextFree = nullptr; ///< intrusive freelist link
 
       private:
         Nic &nic;
@@ -244,22 +239,14 @@ class Nic : public stats::Group
     int txNextDesc = 0;
     int txInFlight = 0;
 
-    /** Owner vectors grow only to the in-flight high-water mark; the
-     *  free lists are intrusive (nextFree), so recycling touches no
-     *  vector storage at all. */
-    std::vector<std::unique_ptr<TxDmaEvent>> txDmaEvents;
-    TxDmaEvent *freeTxDma = nullptr;
-    std::vector<std::unique_ptr<TxDoneEvent>> txDoneEvents;
-    TxDoneEvent *freeTxDone = nullptr;
+    sim::EventPool<TxDmaEvent> txDmaEvents;
+    sim::EventPool<TxDoneEvent> txDoneEvents;
 
     RxDeliver rxDeliver;
     TxComplete txComplete;
     IsrHook isrHook;
     SteeringPolicy *steer = nullptr;
     FaultInjector *faults = nullptr;
-
-    TxDmaEvent *allocTxDmaEvent();
-    TxDoneEvent *allocTxDoneEvent();
 
     void onWirePacket(const Packet &pkt);
     void onModerationExpired(int queue);

@@ -4,63 +4,29 @@
 
 namespace na::net {
 
-namespace {
-/** Client-side delayed-ACK latency (fast client boxes, 1 ms). */
-constexpr sim::Tick peerDelackTicks = 2'000'000;
-} // namespace
-
-RemotePeer::RemotePeer(stats::Group *parent, const std::string &name,
-                       sim::EventQueue &eq_ref, Wire &wire_ref,
-                       const FlowKey &flow_key, PeerRole role,
-                       const TcpConfig &tcp_config,
-                       const PeerRpcConfig &rpc_config)
-    : stats::Group(parent, name),
-      segsIn(this, "segs_in", "segments received"),
-      segsOut(this, "segs_out", "segments sent"),
-      csumDrops(this, "csum_drops",
-                "corrupt segments caught by the checksum"),
-      eq(eq_ref), wire(wire_ref), key(flow_key), peerRole(role),
-      conn(tcp_config), rpc(rpc_config),
-      rtoEvent(name + ".rto", [this] {
-          conn.onRtoTimer(eq.now());
-          pump();
-      }),
-      delackEvent(name + ".delack", [this] {
-          scratch.clear();
-          conn.onDelackTimer(eq.now(), scratch);
-          sendSegments(scratch);
-          updateTimers();
-      })
+PeerConn::PeerConn(const std::string &name, const FlowKey &flow_key,
+                   const TcpConfig &tcp_config,
+                   std::function<void()> on_rto,
+                   std::function<void()> on_delack)
+    : key(flow_key), conn(tcp_config),
+      rtoEvent(name + ".rto", std::move(on_rto)),
+      delackEvent(name + ".delack", std::move(on_delack))
 {
-}
-
-RemotePeer::~RemotePeer()
-{
-    eq.deschedule(&rtoEvent);
-    eq.deschedule(&delackEvent);
 }
 
 void
-RemotePeer::start()
-{
-    conn.openPassive();
-    wire.attachB([this](const Packet &pkt) { onPacket(pkt); });
-}
-
-void
-RemotePeer::sendSegments(const std::vector<Segment> &segs)
+PeerConn::send(Wire &wire, const std::vector<Segment> &segs) const
 {
     for (const Segment &seg : segs) {
         Packet pkt;
         pkt.flow = key;
         pkt.seg = seg;
-        ++segsOut;
         wire.sendFromB(pkt);
     }
 }
 
 void
-RemotePeer::updateTimers()
+PeerConn::armTimers(sim::EventQueue &eq)
 {
     // Retransmission timer follows the connection's deadline.
     const sim::Tick rto = conn.rtoDeadline();
@@ -74,15 +40,69 @@ RemotePeer::updateTimers()
 
     if (conn.delackPending()) {
         if (!delackEvent.scheduled())
-            eq.schedule(&delackEvent, eq.now() + peerDelackTicks);
+            eq.schedule(&delackEvent, eq.now() + delackTicks);
     } else if (delackEvent.scheduled()) {
         eq.deschedule(&delackEvent);
     }
 }
 
 void
+PeerConn::disarm(sim::EventQueue &eq)
+{
+    eq.deschedule(&rtoEvent);
+    eq.deschedule(&delackEvent);
+}
+
+RemotePeer::RemotePeer(stats::Group *parent, const std::string &name,
+                       sim::EventQueue &eq_ref, Wire &wire_ref,
+                       const FlowKey &flow_key, PeerRole role,
+                       const TcpConfig &tcp_config,
+                       const PeerRpcConfig &rpc_config)
+    : stats::Group(parent, name),
+      segsIn(this, "segs_in", "segments received"),
+      segsOut(this, "segs_out", "segments sent"),
+      csumDrops(this, "csum_drops",
+                "corrupt segments caught by the checksum"),
+      eq(eq_ref), wire(wire_ref), peerRole(role),
+      ep(name, flow_key, tcp_config,
+         [this] {
+             ep.conn.onRtoTimer(eq.now());
+             pump();
+         },
+         [this] {
+             // A delayed ACK goes out alone: nothing is pulled.
+             scratch.clear();
+             ep.conn.onDelackTimer(eq.now(), scratch);
+             sendScratch();
+             ep.armTimers(eq);
+         }),
+      rpc(rpc_config)
+{
+}
+
+RemotePeer::~RemotePeer()
+{
+    ep.disarm(eq);
+}
+
+void
+RemotePeer::start()
+{
+    ep.conn.openPassive();
+    wire.attachB([this](const Packet &pkt) { onPacket(pkt); });
+}
+
+void
+RemotePeer::sendScratch()
+{
+    segsOut += static_cast<double>(scratch.size());
+    ep.send(wire, scratch);
+}
+
+void
 RemotePeer::pump()
 {
+    TcpConnection &conn = ep.conn;
     const bool established = conn.state() == TcpState::Established;
     if (peerRole == PeerRole::Source && sending && established) {
         // ttcp transmitter: keep the send buffer brim-full. Bytes are
@@ -101,8 +121,8 @@ RemotePeer::pump()
     }
     scratch.clear();
     conn.pullSegments(eq.now(), scratch);
-    sendSegments(scratch);
-    updateTimers();
+    sendScratch();
+    ep.armTimers(eq);
 }
 
 void
@@ -115,9 +135,10 @@ RemotePeer::onPacket(const Packet &pkt)
         return;
     }
     ++segsIn;
+    TcpConnection &conn = ep.conn;
     scratch.clear();
     conn.onSegment(pkt.seg, eq.now(), scratch);
-    sendSegments(scratch);
+    sendScratch();
 
     switch (peerRole) {
       case PeerRole::Sink:

@@ -7,11 +7,15 @@
  * always the bottleneck, which zero processing cost reproduces exactly.
  * A Sink consumes everything immediately (ttcp receiver); a Source
  * keeps its send buffer full forever (ttcp transmitter).
+ *
+ * PeerConn is the endpoint both client models share: RemotePeer holds
+ * one, and FlowClientPeer (flow_client.hh) one per live flow.
  */
 
 #ifndef NETAFFINITY_NET_PEER_HH
 #define NETAFFINITY_NET_PEER_HH
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -43,6 +47,40 @@ struct PeerRpcConfig
     int pipelineDepth = 1;
 };
 
+/**
+ * One cost-free client-side TCP endpoint: the SUT-perspective key
+ * stamped on every packet it sends, its TcpConnection, and the
+ * connection's RTO and delayed-ACK events. The owner supplies both
+ * timer callbacks, so its own pump logic runs when they fire.
+ */
+struct PeerConn
+{
+    /** Client-side delayed-ACK latency (fast client boxes, 1 ms). */
+    static constexpr sim::Tick delackTicks = 2'000'000;
+
+    FlowKey key;
+    TcpConnection conn;
+    sim::LambdaEvent rtoEvent;
+    sim::LambdaEvent delackEvent;
+
+    /** Events are named @p name + ".rto" and + ".delack". */
+    PeerConn(const std::string &name, const FlowKey &flow_key,
+             const TcpConfig &tcp_config, std::function<void()> on_rto,
+             std::function<void()> on_delack);
+
+    /** Send @p segs toward the SUT (the wire's B side), in order. */
+    void send(Wire &wire, const std::vector<Segment> &segs) const;
+
+    /**
+     * Make the events follow the connection: the RTO event tracks its
+     * deadline, and a pending delayed ACK fires delackTicks from now.
+     */
+    void armTimers(sim::EventQueue &eq);
+
+    /** Take both events off @p eq (before reuse or destruction). */
+    void disarm(sim::EventQueue &eq);
+};
+
 /** One remote ttcp endpoint. */
 class RemotePeer : public stats::Group
 {
@@ -60,14 +98,20 @@ class RemotePeer : public stats::Group
     void stopSending() { sending = false; }
 
     PeerRole role() const { return peerRole; }
-    TcpConnection &tcp() { return conn; }
-    const TcpConnection &tcp() const { return conn; }
+    TcpConnection &tcp() { return ep.conn; }
+    const TcpConnection &tcp() const { return ep.conn; }
 
     /** @return app-level bytes this peer has received (Sink). */
-    std::uint64_t bytesReceived() const { return conn.deliveredBytes(); }
+    std::uint64_t bytesReceived() const
+    {
+        return ep.conn.deliveredBytes();
+    }
 
     /** @return app-level bytes the peer has had acked (Source). */
-    std::uint64_t bytesAckedAsSource() const { return conn.ackedBytes(); }
+    std::uint64_t bytesAckedAsSource() const
+    {
+        return ep.conn.ackedBytes();
+    }
 
     /** @return requests completed (Responder: answered;
      *          Requester: responses fully received). */
@@ -80,25 +124,21 @@ class RemotePeer : public stats::Group
   private:
     sim::EventQueue &eq;
     Wire &wire;
-    FlowKey key; ///< SUT-perspective key stamped on every packet
     PeerRole peerRole;
-    TcpConnection conn;
+    PeerConn ep;
     bool sending = true;
     PeerRpcConfig rpc;
     std::uint64_t rpcConsumed = 0;  ///< inbound bytes consumed
     std::uint64_t rpcCompleted = 0; ///< full exchanges finished
     int rpcInFlight = 0;            ///< Requester: outstanding requests
 
-    sim::LambdaEvent rtoEvent;
-    sim::LambdaEvent delackEvent;
-
     /** Reply/pull scratch reused across packets (capacity persists). */
     std::vector<Segment> scratch;
 
     void onPacket(const Packet &pkt);
     void pump();
-    void sendSegments(const std::vector<Segment> &segs);
-    void updateTimers();
+    /** Send the segments in scratch, counting them in segsOut. */
+    void sendScratch();
 };
 
 } // namespace na::net

@@ -7,13 +7,6 @@
 
 namespace na::net {
 
-namespace {
-
-/** Decorrelates the B->A loss stream from the A->B one. */
-constexpr std::uint64_t dirStreamDelta = 0x9e3779b97f4a7c15ULL;
-
-} // namespace
-
 Wire::DeliverEvent::DeliverEvent(Wire &wire_ref)
     : sim::Event(wire_ref.groupName() + ".deliver"), wire(wire_ref)
 {
@@ -26,12 +19,12 @@ Wire::DeliverEvent::process()
     // allocate further deliver events); this one is returned to the
     // pool only after it is done with its payload.
     (fromA ? wire.deliverB : wire.deliverA)(pkt);
-    wire.recycle(this);
+    wire.deliveries.release(this);
 }
 
 Wire::Wire(stats::Group *parent, const std::string &name,
            sim::EventQueue &eq_ref, double freq_hz, double bits_per_sec,
-           sim::Tick latency_ticks, double loss_prob, std::uint64_t seed)
+           sim::Tick latency_ticks)
     : stats::Group(parent, name),
       pktsAtoB(this, "pkts_a_to_b", "packets SUT -> peer"),
       pktsBtoA(this, "pkts_b_to_a", "packets peer -> SUT"),
@@ -42,49 +35,14 @@ Wire::Wire(stats::Group *parent, const std::string &name,
       lossesBtoA(this, "losses_b_to_a",
                  "packets dropped by injected loss, peer -> SUT"),
       eq(eq_ref), freqHz(freq_hz), rate(bits_per_sec),
-      latency(latency_ticks), lossProb(loss_prob), rngAB(seed),
-      rngBA(seed + dirStreamDelta)
+      latency(latency_ticks), deliveries(eq_ref)
 {
-}
-
-Wire::~Wire()
-{
-    // The queue may outlive us, so take in-flight deliveries off it.
-    for (auto &ev : events) {
-        if (ev->scheduled())
-            eq.deschedule(ev.get());
-    }
-}
-
-Wire::DeliverEvent *
-Wire::allocDeliverEvent()
-{
-    if (freeList) {
-        DeliverEvent *ev = freeList;
-        freeList = ev->nextFree;
-        ev->nextFree = nullptr;
-        return ev;
-    }
-    events.push_back(std::make_unique<DeliverEvent>(*this));
-    return events.back().get();
-}
-
-void
-Wire::recycle(DeliverEvent *ev)
-{
-    ev->nextFree = freeList;
-    freeList = ev;
 }
 
 void
 Wire::send(const Packet &pkt, bool from_a)
 {
     const sim::Tick now = eq.now();
-
-    if (lossProb > 0.0 && (from_a ? rngAB : rngBA).chance(lossProb)) {
-        ++(from_a ? lossesAtoB : lossesBtoA);
-        return;
-    }
 
     FaultInjector::WireDecision fd;
     if (faults) {
@@ -118,7 +76,7 @@ Wire::send(const Packet &pkt, bool from_a)
 
     const sim::Tick when = done + latency + fd.extraDelayTicks;
 
-    DeliverEvent *ev = allocDeliverEvent();
+    DeliverEvent *ev = deliveries.acquire(*this);
     ev->pkt = pkt;
     ev->pkt.corrupt = fd.corrupt;
     ev->fromA = from_a;
@@ -127,7 +85,7 @@ Wire::send(const Packet &pkt, bool from_a)
     if (fd.duplicate) {
         // The copy rides one tick behind the original, so the receiver
         // sees a clean duplicate rather than a coalesced double.
-        DeliverEvent *dup = allocDeliverEvent();
+        DeliverEvent *dup = deliveries.acquire(*this);
         dup->pkt = ev->pkt;
         dup->fromA = from_a;
         eq.schedule(dup, when + 1);

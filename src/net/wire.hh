@@ -3,27 +3,20 @@
  * A full-duplex point-to-point gigabit link.
  *
  * Models per-direction serialization at the configured line rate plus
- * propagation latency. Optional random loss supports the property tests
- * that exercise TCP retransmission.
- *
- * Each direction draws its loss decisions from its own RNG stream
- * (seeded apart), so which packets a lossy run drops in one direction
- * does not depend on how much traffic flows the other way. Fault-run
- * results are defined by these streams: merging them would change
- * every lossy result the repo has recorded.
+ * propagation latency. The wire itself is lossless: drops, corruption,
+ * duplication and reordering come only from an installed FaultInjector
+ * (see sim::FaultPlan).
  */
 
 #ifndef NETAFFINITY_NET_WIRE_HH
 #define NETAFFINITY_NET_WIRE_HH
 
 #include <functional>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "src/net/segment.hh"
+#include "src/sim/event_pool.hh"
 #include "src/sim/event_queue.hh"
-#include "src/sim/random.hh"
 #include "src/sim/types.hh"
 #include "src/stats/stats.hh"
 
@@ -44,9 +37,7 @@ class Wire : public stats::Group
      */
     Wire(stats::Group *parent, const std::string &name,
          sim::EventQueue &eq, double freq_hz,
-         double bits_per_sec = 1.0e9, sim::Tick latency_ticks = 10000,
-         double loss_prob = 0.0, std::uint64_t seed = 7);
-    ~Wire();
+         double bits_per_sec = 1.0e9, sim::Tick latency_ticks = 10000);
 
     /** Attach side A's (SUT's) receive callback. */
     void attachA(Deliver cb) { deliverA = std::move(cb); }
@@ -60,9 +51,6 @@ class Wire : public stats::Group
     /** Transmit from the peer toward the SUT. */
     void sendFromB(const Packet &pkt);
 
-    /** Set random loss probability (tests). */
-    void setLossProb(double p) { lossProb = p; }
-
     /**
      * Install a fault injector consulted per packet (nullptr = none,
      * the default — the fault path is one untaken branch).
@@ -75,7 +63,7 @@ class Wire : public stats::Group
     stats::Scalar pktsBtoA;
     stats::Scalar bytesAtoB;
     stats::Scalar bytesBtoA;
-    /** Injected-loss drops, split per direction. */
+    /** Fault-plan drops, split per direction. */
     stats::Scalar lossesAtoB;
     stats::Scalar lossesBtoA;
 
@@ -86,13 +74,7 @@ class Wire : public stats::Group
     }
 
   private:
-    /**
-     * One in-flight packet delivery. Pooled through an intrusive
-     * freelist, so the steady-state per-packet path performs no heap
-     * allocation. Reuse cannot reorder anything: delivery order comes
-     * from the queue's (when, priority, seq), not from which object
-     * carries the packet.
-     */
+    /** One in-flight packet delivery, drawn from the wire's pool. */
     class DeliverEvent : public sim::Event
     {
       public:
@@ -101,7 +83,6 @@ class Wire : public stats::Group
 
         Packet pkt;
         bool fromA = false;
-        DeliverEvent *nextFree = nullptr; ///< intrusive freelist link
 
       private:
         Wire &wire;
@@ -111,23 +92,13 @@ class Wire : public stats::Group
     double freqHz;
     double rate;
     sim::Tick latency;
-    double lossProb;
     FaultInjector *faults = nullptr;
-    /** Per-direction loss RNGs (see the file comment). */
-    sim::Random rngAB;
-    sim::Random rngBA;
     Deliver deliverA;
     Deliver deliverB;
     sim::Tick busyUntilAB = 0;
     sim::Tick busyUntilBA = 0;
 
-    /** Every delivery event ever allocated (grows only to the
-     *  in-flight high-water mark) and the idle ones among them. */
-    std::vector<std::unique_ptr<DeliverEvent>> events;
-    DeliverEvent *freeList = nullptr;
-
-    DeliverEvent *allocDeliverEvent();
-    void recycle(DeliverEvent *ev);
+    sim::EventPool<DeliverEvent> deliveries;
 
     void send(const Packet &pkt, bool from_a);
 };

@@ -69,28 +69,6 @@ Vector::reset()
     std::fill(values.begin(), values.end(), 0.0);
 }
 
-double
-TimeSeries::total() const
-{
-    double t = 0;
-    for (const Window &w : series)
-        t += w.value;
-    return t;
-}
-
-void
-TimeSeries::dump(std::ostream &os, const std::string &prefix) const
-{
-    for (std::size_t i = 0; i < series.size(); ++i) {
-        const Window &w = series[i];
-        std::ostringstream label;
-        label << name() << "::w" << i << '[' << w.start << ',' << w.end
-              << ')';
-        emitLine(os, prefix, label.str(), w.value, desc());
-    }
-    emitLine(os, prefix, name() + "::total", total(), desc());
-}
-
 Group::Group(Group *parent_group, std::string name)
     : parent(parent_group), _name(std::move(name))
 {

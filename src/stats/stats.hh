@@ -87,47 +87,6 @@ class Vector : public StatBase
 };
 
 /**
- * A sequence of per-window values over simulated time: the interval
- * recorder's building block. Each record() closes one window
- * [start, end) with its value; windows are appended in time order and
- * kept verbatim (analysis happens offline).
- */
-class TimeSeries : public StatBase
-{
-  public:
-    /** One closed observation window. */
-    struct Window
-    {
-        std::uint64_t start = 0; ///< tick the window opened
-        std::uint64_t end = 0;   ///< tick the window closed
-        double value = 0;
-    };
-
-    TimeSeries(Group *parent, std::string name, std::string desc)
-        : StatBase(parent, std::move(name), std::move(desc))
-    {
-    }
-
-    /** Append the window [start, end) holding @p value. */
-    void
-    record(std::uint64_t start, std::uint64_t end, double value)
-    {
-        series.push_back(Window{start, end, value});
-    }
-
-    const std::vector<Window> &windows() const { return series; }
-
-    /** @return sum over all windows (must equal the aggregate stat). */
-    double total() const;
-
-    void dump(std::ostream &os, const std::string &prefix) const override;
-    void reset() override { series.clear(); }
-
-  private:
-    std::vector<Window> series;
-};
-
-/**
  * A node in the statistics hierarchy. Owns neither its children nor its
  * statistics — both are members of the objects that declared them; the
  * Group only holds pointers for dump()/reset() walks.

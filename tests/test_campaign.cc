@@ -160,10 +160,49 @@ TEST(Campaign, SystemHookRunsOncePerPointWithItsIndex)
 TEST(Campaign, InvalidPointIsRejectedBeforeAnyRun)
 {
     std::vector<core::CampaignPoint> points = tinyPoints();
-    points[1].config.wireLossProb = 2.0;
+    points[1].config.faults.toSut.lossProb = 2.0;
     core::Campaign::Options opts;
     opts.numThreads = 2;
     EXPECT_THROW(core::Campaign::run(points, opts), std::runtime_error);
+}
+
+TEST(Campaign, DistinctPointsWithEqualKeysBothRun)
+{
+    // ext_ablation's wake-affine pair differs only in a field the point
+    // key does not cover, so with derivePointSeeds off both points share
+    // a key. Each must still run: aliasing the second to the first
+    // would report wake-affine-on IPIs for the off point.
+    std::vector<core::CampaignPoint> points =
+        core::SweepBuilder()
+            .schedule([] {
+                // tinySchedule's 5 ms window sees too few wakeups to
+                // tell the two apart; 10 ms sees 8 IPIs against 12.
+                core::RunSchedule s = tinySchedule();
+                s.measure = 20'000'000;
+                return s;
+            }())
+            .mode(workload::TtcpMode::Transmit)
+            .size(65536)
+            .affinity(core::AffinityMode::Irq)
+            .variant("wake-affine on",
+                     [](core::SystemConfig &cfg) {
+                         cfg.platform.wakeAffine = true;
+                     })
+            .variant("wake-affine off",
+                     [](core::SystemConfig &cfg) {
+                         cfg.platform.wakeAffine = false;
+                     })
+            .build();
+    ASSERT_EQ(points.size(), 2u);
+    core::Campaign::Options opts;
+    opts.derivePointSeeds = false;
+    opts.numThreads = 1;
+    const std::vector<std::uint64_t> keys =
+        core::Campaign::pointKeys(points);
+    ASSERT_EQ(keys[0], keys[1]);
+
+    const core::ResultSet rs = core::Campaign::run(points, opts);
+    EXPECT_NE(rs.result(0).ipis, rs.result(1).ipis);
 }
 
 TEST(Campaign, BadPlatformGeometryIsRejectedNamingPointAndField)

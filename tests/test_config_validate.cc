@@ -28,7 +28,7 @@ TEST(ConfigValidate, AcceptsDefaultAndPaperConfigs)
     EXPECT_NO_THROW(core::SystemConfig{}.validate());
     core::SystemConfig cfg = goodConfig();
     cfg.platform.numCpus = 8;
-    cfg.wireLossProb = 1.0;
+    cfg.faults.toPeer.lossProb = 1.0;
     EXPECT_NO_THROW(cfg.validate());
 }
 
@@ -59,12 +59,16 @@ TEST(ConfigValidate, RejectsNonPositiveWireRate)
 
 TEST(ConfigValidate, RejectsLossProbabilityOutsideUnitInterval)
 {
+    // Loss comes only from the fault plan; both directions are checked.
     core::SystemConfig cfg = goodConfig();
-    cfg.wireLossProb = -0.1;
+    cfg.faults.toPeer.lossProb = -0.1;
     EXPECT_THROW(cfg.validate(), std::runtime_error);
-    cfg.wireLossProb = 1.5;
+    cfg.faults.toPeer.lossProb = 1.5;
     EXPECT_THROW(cfg.validate(), std::runtime_error);
-    cfg.wireLossProb = std::numeric_limits<double>::quiet_NaN();
+    cfg.faults.toPeer.lossProb = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(cfg.validate(), std::runtime_error);
+    cfg = goodConfig();
+    cfg.faults.toSut.lossProb = 1.5;
     EXPECT_THROW(cfg.validate(), std::runtime_error);
 }
 
@@ -78,12 +82,12 @@ TEST(ConfigValidate, RejectsZeroMessageSize)
 TEST(ConfigValidate, ErrorMessagesNameTheField)
 {
     core::SystemConfig cfg = goodConfig();
-    cfg.wireLossProb = 1.5;
+    cfg.faults.toSut.lossProb = 1.5;
     try {
         cfg.validate();
         FAIL() << "expected std::runtime_error";
     } catch (const std::runtime_error &e) {
-        EXPECT_NE(std::string(e.what()).find("wireLossProb"),
+        EXPECT_NE(std::string(e.what()).find("faults.toSut.lossProb"),
                   std::string::npos)
             << e.what();
     }

@@ -202,7 +202,8 @@ TEST(NetStack, NagleCoalescesSmallWrites)
 TEST(NetStack, WireLossIsSurvived)
 {
     SystemConfig cfg = smallConfig(workload::TtcpMode::Transmit, 2);
-    cfg.wireLossProb = 0.02;
+    cfg.faults.toPeer.lossProb = 0.02;
+    cfg.faults.toSut.lossProb = 0.02;
     cfg.tcp.rtoTicks = 10'000'000; // 5 ms RTO keeps the test fast
     System sys(cfg);
     ASSERT_TRUE(sys.establishAll(4'000'000'000));

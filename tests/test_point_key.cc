@@ -41,6 +41,15 @@ TEST(PointKey, DeterministicAcrossCalls)
     EXPECT_NE(core::pointKeyOf(cfg, sched), 0u);
 }
 
+// Every field of an enabled plan is keyed, not just its label. Adding a
+// field to sim::FaultPlan or sim::FaultDirection changes these sizes.
+static_assert(sizeof(sim::FaultDirection) == 64,
+              "FaultDirection changed: add the field to the key and this "
+              "test (SensitiveToEveryCoveredAxis)");
+static_assert(sizeof(sim::FaultPlan) == 200,
+              "FaultPlan changed: add the field to the key and this test "
+              "(SensitiveToEveryCoveredAxis)");
+
 TEST(PointKey, SensitiveToEveryCoveredAxis)
 {
     const core::SystemConfig cfg = baseConfig();
@@ -74,9 +83,65 @@ TEST(PointKey, SensitiveToEveryCoveredAxis)
             << "connections";
     }
     {
-        core::SystemConfig c = cfg;
-        c.wireLossProb = 0.01;
-        EXPECT_NE(core::pointKeyOf(c, sched), base_key) << "wire loss";
+        // Every field of an enabled, tagged plan is keyed, not just its
+        // label: two plans with one tag must not share a key.
+        core::SystemConfig faulty = cfg;
+        faulty.faults.tag = "lossy";
+        faulty.faults.toPeer.lossProb = 0.01;
+        const std::uint64_t faulty_key = core::pointKeyOf(faulty, sched);
+        EXPECT_NE(faulty_key, base_key) << "faults";
+
+        using Dir = sim::FaultDirection;
+        const struct
+        {
+            const char *field;
+            void (*perturb)(Dir &);
+        } dir_cases[] = {
+            {"lossProb", [](Dir &d) { d.lossProb += 0.25; }},
+            {"geGoodToBad", [](Dir &d) { d.geGoodToBad += 0.25; }},
+            {"geBadToGood", [](Dir &d) { d.geBadToGood += 0.25; }},
+            {"geBadLoss", [](Dir &d) { d.geBadLoss -= 0.25; }},
+            {"corruptProb", [](Dir &d) { d.corruptProb += 0.25; }},
+            {"dupProb", [](Dir &d) { d.dupProb += 0.25; }},
+            {"reorderProb", [](Dir &d) { d.reorderProb += 0.25; }},
+            {"reorderDelayTicks",
+             [](Dir &d) { d.reorderDelayTicks += 1; }},
+        };
+        for (const auto &dc : dir_cases) {
+            core::SystemConfig to_peer = faulty;
+            dc.perturb(to_peer.faults.toPeer);
+            EXPECT_NE(core::pointKeyOf(to_peer, sched), faulty_key)
+                << "faults.toPeer." << dc.field;
+            core::SystemConfig to_sut = faulty;
+            dc.perturb(to_sut.faults.toSut);
+            EXPECT_NE(core::pointKeyOf(to_sut, sched), faulty_key)
+                << "faults.toSut." << dc.field;
+            EXPECT_NE(core::pointKeyOf(to_peer, sched),
+                      core::pointKeyOf(to_sut, sched))
+                << "direction of faults." << dc.field;
+        }
+
+        using Plan = sim::FaultPlan;
+        const struct
+        {
+            const char *field;
+            void (*perturb)(Plan &);
+        } plan_cases[] = {
+            {"linkFlapPeriodTicks",
+             [](Plan &p) { p.linkFlapPeriodTicks = 9; }},
+            {"linkFlapDownTicks", [](Plan &p) { p.linkFlapDownTicks = 3; }},
+            {"rxStallPeriodTicks",
+             [](Plan &p) { p.rxStallPeriodTicks = 9; }},
+            {"rxStallTicks", [](Plan &p) { p.rxStallTicks = 3; }},
+            {"irqLossProb", [](Plan &p) { p.irqLossProb = 0.5; }},
+            {"tag", [](Plan &p) { p.tag = "other"; }},
+        };
+        for (const auto &pc : plan_cases) {
+            core::SystemConfig c = faulty;
+            pc.perturb(c.faults);
+            EXPECT_NE(core::pointKeyOf(c, sched), faulty_key)
+                << "faults." << pc.field;
+        }
     }
     {
         core::RunSchedule s = sched;

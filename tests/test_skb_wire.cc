@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/net/fault_injector.hh"
 #include "src/net/skb.hh"
 #include "src/net/wire.hh"
 #include "src/os/exec_context.hh"
@@ -195,7 +196,10 @@ TEST_F(WireTest, DirectionsAreIndependent)
 
 TEST_F(WireTest, LossDropsApproximatelyAtConfiguredRate)
 {
-    wire.setLossProb(0.5);
+    sim::FaultPlan plan;
+    plan.toPeer.lossProb = 0.5;
+    FaultInjector faults(&root, "faults", plan, /*seed=*/7);
+    wire.setFaultInjector(&faults);
     for (int i = 0; i < 1000; ++i)
         wire.sendFromA(mkPkt(100));
     eq.runUntil(1'000'000'000);

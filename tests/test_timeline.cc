@@ -1,8 +1,8 @@
 /**
  * @file
- * Observability layer: TimeSeries stats, interval recording, the
- * Chrome trace-event tracer, and the core::json parser behind the
- * results reader and the trace self-checks.
+ * Observability layer: interval recording, the Chrome trace-event
+ * tracer, and the core::json parser behind the results reader and the
+ * trace self-checks.
  */
 
 #include <gtest/gtest.h>
@@ -15,48 +15,10 @@
 #include "src/sim/event_queue.hh"
 #include "src/sim/timeline.hh"
 #include "src/sim/trace.hh"
-#include "src/stats/stats.hh"
 
 using namespace na;
 
 namespace {
-
-// ---------------------------------------------------------------------
-// stats::TimeSeries
-// ---------------------------------------------------------------------
-
-TEST(TimeSeries, RecordsWindowsAndTotals)
-{
-    stats::Group root(nullptr, "");
-    stats::TimeSeries ts(&root, "rate", "test series");
-    EXPECT_TRUE(ts.windows().empty());
-    EXPECT_EQ(ts.total(), 0.0);
-
-    ts.record(0, 100, 5.0);
-    ts.record(100, 200, 7.5);
-    ASSERT_EQ(ts.windows().size(), 2u);
-    EXPECT_EQ(ts.windows()[1].start, 100u);
-    EXPECT_EQ(ts.windows()[1].end, 200u);
-    EXPECT_DOUBLE_EQ(ts.windows()[1].value, 7.5);
-    EXPECT_DOUBLE_EQ(ts.total(), 12.5);
-
-    ts.reset();
-    EXPECT_TRUE(ts.windows().empty());
-}
-
-TEST(TimeSeries, DumpEmitsPerWindowLines)
-{
-    stats::Group root(nullptr, "");
-    stats::TimeSeries ts(&root, "rate", "test series");
-    ts.record(0, 10, 1.0);
-    ts.record(10, 20, 2.0);
-    std::ostringstream os;
-    root.dumpStats(os);
-    const std::string out = os.str();
-    EXPECT_NE(out.find("rate::w0"), std::string::npos);
-    EXPECT_NE(out.find("rate::w1"), std::string::npos);
-    EXPECT_NE(out.find("rate::total"), std::string::npos);
-}
 
 // ---------------------------------------------------------------------
 // prof::IntervalRecorder
