@@ -177,7 +177,7 @@ void
 BM_CoreCharge(benchmark::State &state)
 {
     const cpu::PlatformConfig platform;
-    mem::SnoopDomain domain(platform.memTiming);
+    mem::SnoopDomain domain;
     stats::Group root(nullptr, "");
     prof::BinAccounting accounting(platform.numCpus);
     cpu::Core c0(&root, "cpu0", 0, platform, domain, accounting);

@@ -39,7 +39,6 @@ struct Value
     bool isObject() const { return kind == Kind::Object; }
     bool isArray() const { return kind == Kind::Array; }
     bool isNumber() const { return kind == Kind::Number; }
-    bool isString() const { return kind == Kind::String; }
 
     /** @return true if the object has field @p name. */
     bool has(const std::string &name) const;

@@ -59,13 +59,14 @@ canonicalPointText(const SystemConfig &config,
     // where a label could contain spaces.
     std::string t = config.summary();
     t += "|seed=" + std::to_string(config.platform.seed);
-    t += "|freq=" + dblText(config.platform.freqHz);
-    t += "|wire=" + dblText(config.wireBitsPerSec);
-    t += "," + std::to_string(config.wireLatencyTicks);
-    // The wire has no loss knob of its own (loss comes only from the
-    // fault plan), and a run always has one event queue, but both
+    // The clock and the wire are constants of the modeled platform,
+    // the wire has no loss knob of its own (loss comes only from the
+    // fault plan), and a run always has one event queue, but all these
     // fields stay in the text so keys of existing JSONL stores and
     // perfbench's references still match.
+    t += "|freq=" + dblText(cpu::PlatformConfig::freqHz);
+    t += "|wire=" + dblText(SystemConfig::wireBitsPerSec);
+    t += "," + std::to_string(SystemConfig::wireLatencyTicks);
     t += ",0|lanes=1";
     t += "|iv=" + dblText(config.statsIntervalUs);
     t += "|sched=" + std::to_string(schedule.establishDeadline);

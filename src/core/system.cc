@@ -2,9 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <utility>
 
-#include "src/mem/tlb.hh"
 #include "src/sim/logging.hh"
 
 namespace na::core {
@@ -31,86 +29,12 @@ SystemConfig::validate() const
             "(per-CPU result arrays and affinity masks cap the model)",
             maxModelCpus, platform.numCpus));
     }
-    // Geometry the cache and TLB models would otherwise reject with a
-    // process exit (or, for TLBs, an empty-list eviction).
-    const mem::CacheGeometry &geom = platform.cacheGeometry;
-    if (geom.lineBytes < 2 || (geom.lineBytes & (geom.lineBytes - 1)) != 0) {
-        throw std::runtime_error(sim::format(
-            "SystemConfig: platform.cacheGeometry.lineBytes must be a "
-            "power of two >= 2, got %u",
-            geom.lineBytes));
-    }
-    const struct
-    {
-        const char *level;
-        std::uint64_t size;
-        unsigned assoc;
-    } levels[] = {{"l1", geom.l1Size, geom.l1Assoc},
-                  {"l2", geom.l2Size, geom.l2Assoc},
-                  {"l3", geom.l3Size, geom.l3Assoc}};
-    for (const auto &l : levels) {
-        const std::uint64_t way_bytes =
-            static_cast<std::uint64_t>(l.assoc) * geom.lineBytes;
-        if (l.assoc < 1 || l.size % way_bytes != 0) {
-            throw std::runtime_error(sim::format(
-                "SystemConfig: platform.cacheGeometry.%sSize = %llu must "
-                "be a nonzero multiple of %sAssoc x lineBytes = %u x %u",
-                l.level, static_cast<unsigned long long>(l.size), l.level,
-                l.assoc, geom.lineBytes));
-        }
-        const std::uint64_t sets = l.size / way_bytes;
-        if (sets == 0 || (sets & (sets - 1)) != 0) {
-            throw std::runtime_error(sim::format(
-                "SystemConfig: platform.cacheGeometry.%sSize / (%sAssoc x "
-                "lineBytes) = %llu sets must be a power of two (the set "
-                "index is masked)",
-                l.level, l.level, static_cast<unsigned long long>(sets)));
-        }
-    }
-    // Each TLB allocates its slots and index at construction.
-    for (const auto &[field, entries] :
-         {std::pair{"itlbEntries", platform.itlbEntries},
-          std::pair{"dtlbEntries", platform.dtlbEntries}}) {
-        if (entries < 1 || entries > mem::Tlb::maxEntries) {
-            throw std::runtime_error(sim::format(
-                "SystemConfig: platform.%s must be in [1, %u], got %u",
-                field, mem::Tlb::maxEntries, entries));
-        }
-    }
-    // Charge-model rates: Core::charge truncates and rounds the
-    // expectations built from them, which needs finite values >= 0.
-    for (std::size_t b = 0; b < platform.intrinsicClearsPerKInstr.size();
-         ++b) {
-        const double rate = platform.intrinsicClearsPerKInstr[b];
-        if (!std::isfinite(rate) || rate < 0.0) {
-            throw std::runtime_error(sim::format(
-                "SystemConfig: platform.intrinsicClearsPerKInstr[%zu] "
-                "(%s) must be finite and >= 0, got %g",
-                b,
-                std::string(prof::binName(static_cast<prof::Bin>(b)))
-                    .c_str(),
-                rate));
-        }
-    }
-    if (!std::isfinite(platform.coldMispredictBoost) ||
-        platform.coldMispredictBoost < 0.0) {
-        throw std::runtime_error(sim::format(
-            "SystemConfig: platform.coldMispredictBoost must be finite "
-            "and >= 0, got %g",
-            platform.coldMispredictBoost));
-    }
     if (!(platform.orderingClearProb >= 0.0 &&
           platform.orderingClearProb <= 1.0)) {
         throw std::runtime_error(sim::format(
             "SystemConfig: platform.orderingClearProb must be a "
             "probability in [0, 1], got %g",
             platform.orderingClearProb));
-    }
-    if (!(wireBitsPerSec > 0.0)) {
-        throw std::runtime_error(sim::format(
-            "SystemConfig: wireBitsPerSec must be positive, got %g "
-            "(a zero-rate wire never delivers a segment)",
-            wireBitsPerSec));
     }
     workload::validateSpec(workload);
     if (std::isnan(statsIntervalUs) || statsIntervalUs < 0.0) {
@@ -290,16 +214,13 @@ System::System(const SystemConfig &config)
         drv->setSocketPool(sockPool.get());
     }
 
-    net::NicConfig nic_cfg = cfg.nic;
-    nic_cfg.numRxQueues = cfg.steering.numQueues;
-
     for (int i = 0; i < cfg.numConnections; ++i) {
         wires.push_back(std::make_unique<net::Wire>(
             this, sim::format("wire%d", i), eq, cfg.platform.freqHz,
             cfg.wireBitsPerSec, cfg.wireLatencyTicks));
         nics.push_back(std::make_unique<net::Nic>(
             this, sim::format("nic%d", i), i, *kern, *pool, *wires[i],
-            nic_cfg));
+            cfg.nic, cfg.steering.numQueues));
         nics[i]->setSteering(steerPolicy.get());
         drv->attachNic(*nics[i]);
 

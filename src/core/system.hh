@@ -52,8 +52,8 @@ struct SystemConfig
     workload::Spec workload = workload::TtcpConfig{};
     net::TcpConfig tcp{};
     net::NicConfig nic{};
-    double wireBitsPerSec = 1.0e9;
-    sim::Tick wireLatencyTicks = 10'000; ///< 5 us
+    static constexpr double wireBitsPerSec = 1.0e9;
+    static constexpr sim::Tick wireLatencyTicks = 10'000; ///< 5 us
     int skbPoolSlots = 0; ///< 0 = sized automatically
     /**
      * Linux-2.6-style rotating IRQ distribution interval (0 = static
@@ -86,10 +86,10 @@ struct SystemConfig
     /**
      * Event-queue non-progress guard: abort (by exception) any run
      * that fires this many events without simulated time advancing.
-     * 0 disables. The default is far above any legitimate same-tick
-     * cascade, so only genuine livelocks trip it.
+     * The value is far above any legitimate same-tick cascade, so only
+     * genuine livelocks trip it.
      */
-    std::uint64_t stallEventThreshold = 10'000'000;
+    static constexpr std::uint64_t stallEventThreshold = 10'000'000;
     /**
      * Sanity-check the configuration.
      * @throws std::runtime_error describing the first violation.

@@ -127,7 +127,6 @@ class Core : public stats::Group
 
     /** The OS marks whether the core is running work or idle-polling. */
     void setBusy(bool busy) { busyFlag = busy; }
-    bool isBusy() const { return busyFlag; }
 
     /** Record a context switch; cold-starts branch state mildly. */
     void noteContextSwitch() { ++counters.contextSwitches; }

@@ -18,7 +18,7 @@ CacheHierarchy::CacheHierarchy(stats::Group *parent,
       stallCycleTotal(this, "stall_cycles", "memory stall cycles"),
       linesStolenByRemote(this, "lines_stolen",
                           "lines invalidated by remote writers/DMA"),
-      cpu(cpu_id), domain(snoop_domain), timing(snoop_domain.memTiming())
+      cpu(cpu_id), domain(snoop_domain)
 {
     domain.addHierarchy(this);
 }
@@ -87,11 +87,6 @@ CacheHierarchy::snoopDowngrade(sim::Addr addr)
     if (l2.downgrade(addr))
         l1.downgrade(addr);
     return true;
-}
-
-SnoopDomain::SnoopDomain(const MemTiming &timing_params)
-    : timing(timing_params)
-{
 }
 
 void

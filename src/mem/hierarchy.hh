@@ -30,17 +30,17 @@ namespace na::mem {
 /** Maximum CPUs in one snoop domain (the paper uses 2, we allow 8). */
 constexpr int maxSmpCpus = 8;
 
-/** Latency parameters (cycles) for the memory system. */
+/** Latency constants (cycles) of the modeled memory system. */
 struct MemTiming
 {
-    unsigned l1HitCycles = 0;    ///< folded into base CPI
-    unsigned l2HitCycles = 18;   ///< L1 miss, L2 hit
-    unsigned l3HitCycles = 45;   ///< L2 miss, on-die L3 hit
-    unsigned memCycles = 300;    ///< full miss to DRAM
-    unsigned c2cCycles = 350;    ///< cache-to-cache transfer (FSB snoop)
-    unsigned upgradeCycles = 30; ///< Shared->Modified ownership upgrade
-    unsigned uncachedCycles = 600;      ///< MMIO register read (stalls)
-    unsigned uncachedWriteCycles = 150; ///< MMIO posted write
+    static constexpr unsigned l1HitCycles = 0; ///< folded into base CPI
+    static constexpr unsigned l2HitCycles = 18; ///< L1 miss, L2 hit
+    static constexpr unsigned l3HitCycles = 45; ///< L2 miss, L3 hit
+    static constexpr unsigned memCycles = 300; ///< full miss to DRAM
+    static constexpr unsigned c2cCycles = 350; ///< FSB cache-to-cache
+    static constexpr unsigned upgradeCycles = 30; ///< Shared->Modified
+    static constexpr unsigned uncachedCycles = 600; ///< MMIO read (stalls)
+    static constexpr unsigned uncachedWriteCycles = 150; ///< MMIO write
 };
 
 /** Geometry of one CPU's caches (Xeon MP defaults). */
@@ -161,7 +161,6 @@ class CacheHierarchy : public stats::Group
   private:
     sim::CpuId cpu;
     SnoopDomain &domain;
-    MemTiming timing; ///< copied from domain at construction
 
     /**
      * Fill a line absent from L2 (and so from L1) into L2 and L1; L3
@@ -187,8 +186,6 @@ class CacheHierarchy : public stats::Group
 class SnoopDomain
 {
   public:
-    explicit SnoopDomain(const MemTiming &timing = MemTiming{});
-
     /** Register a hierarchy (called by CacheHierarchy's constructor). */
     void addHierarchy(CacheHierarchy *h);
 
@@ -218,7 +215,6 @@ class SnoopDomain
      */
     DmaResult dma(sim::Addr addr, std::uint32_t bytes);
 
-    const MemTiming &memTiming() const { return timing; }
     unsigned lineBytes() const { return lineSize; }
 
     const std::vector<CacheHierarchy *> &hierarchies() const
@@ -227,7 +223,6 @@ class SnoopDomain
     }
 
   private:
-    MemTiming timing;
     unsigned lineSize = 64;
     std::vector<CacheHierarchy *> all;
 };
@@ -253,7 +248,8 @@ CacheHierarchy::accessInto(sim::Addr addr, std::uint32_t bytes, bool write,
             static_cast<std::uint32_t>((last - first) / line + 1);
         const std::uint64_t stall =
             static_cast<std::uint64_t>(n) *
-            (write ? timing.uncachedWriteCycles : timing.uncachedCycles);
+            (write ? MemTiming::uncachedWriteCycles
+                   : MemTiming::uncachedCycles);
         res.uncached += n;
         res.lines += n;
         res.stallCycles += stall;
@@ -268,13 +264,13 @@ CacheHierarchy::accessInto(sim::Addr addr, std::uint32_t bytes, bool write,
         const LineState s1 = l1.lookup(la);
         if (s1 != LineState::Invalid) {
             ++res.l1Hits;
-            stall += timing.l1HitCycles;
+            stall += MemTiming::l1HitCycles;
             if (write && s1 == LineState::Shared) {
                 // Ownership upgrade: invalidate remote copies.
                 domain.snoopWrite(cpu, la, res.stolenFrom);
                 upgradeLine(la);
                 ++res.upgrades;
-                stall += timing.upgradeCycles;
+                stall += MemTiming::upgradeCycles;
             }
             // A write hitting Modified needs no upgrade anywhere:
             // every level holding a line holds it in the same state
@@ -286,12 +282,12 @@ CacheHierarchy::accessInto(sim::Addr addr, std::uint32_t bytes, bool write,
         const LineState s2 = l2.lookup(la);
         if (s2 != LineState::Invalid) {
             ++res.l2Hits;
-            stall += timing.l2HitCycles * overlap;
+            stall += MemTiming::l2HitCycles * overlap;
             if (write && s2 == LineState::Shared) {
                 domain.snoopWrite(cpu, la, res.stolenFrom);
                 l2.setModified(la);
                 ++res.upgrades;
-                stall += timing.upgradeCycles;
+                stall += MemTiming::upgradeCycles;
             }
             // Inclusion: L3 holds the line and L1 does not. The lookup
             // above already made it L2's MRU line, and one touch makes
@@ -315,11 +311,11 @@ CacheHierarchy::accessInto(sim::Addr addr, std::uint32_t bytes, bool write,
             la, write ? LineState::Modified : LineState::Shared);
         if (r3.hit()) {
             ++res.l3Hits;
-            stall += timing.l3HitCycles * overlap;
+            stall += MemTiming::l3HitCycles * overlap;
             if (write && r3.prev == LineState::Shared) {
                 domain.snoopWrite(cpu, la, res.stolenFrom);
                 ++res.upgrades;
-                stall += timing.upgradeCycles;
+                stall += MemTiming::upgradeCycles;
             }
             // A read of a dirty L3 line fills the inner levels
             // Modified: every level holding a line holds it alike.
@@ -340,9 +336,9 @@ CacheHierarchy::accessInto(sim::Addr addr, std::uint32_t bytes, bool write,
         }
         if (remote != LineState::Invalid) {
             ++res.remoteHits;
-            stall += timing.c2cCycles * overlap;
+            stall += MemTiming::c2cCycles * overlap;
         } else {
-            stall += timing.memCycles * overlap;
+            stall += MemTiming::memCycles * overlap;
         }
         // Read fill is Shared (MSI; no E state — see DESIGN.md).
         fillInner(la, write ? LineState::Modified : LineState::Shared);

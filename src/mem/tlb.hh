@@ -36,7 +36,7 @@ class Tlb : public stats::Group
 {
   public:
     static constexpr unsigned pageShift = 12; ///< 4 KiB pages
-    /** Largest entry count; SystemConfig::validate enforces it. */
+    /** Largest entry count; the constructor rejects more. */
     static constexpr unsigned maxEntries = 4096;
 
     Tlb(stats::Group *parent, const std::string &name, unsigned entries);

@@ -59,7 +59,6 @@ class TraceCache : public stats::Group
     bool resident(std::uint16_t func_id) const;
 
     std::uint64_t usedBytes() const { return used; }
-    std::uint64_t capacityBytes() const { return capacity; }
 
     stats::Scalar hits;
     stats::Scalar misses; ///< trace-line builds

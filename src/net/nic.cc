@@ -72,7 +72,7 @@ Nic::ModerationEvent::process()
 
 Nic::Nic(stats::Group *parent, const std::string &name, int index,
          os::Kernel &kernel_ref, SkbPool &pool_ref, Wire &wire_ref,
-         const NicConfig &config)
+         const NicConfig &config, int num_rx_queues)
     : stats::Group(parent, name),
       rxFrames(this, "rx_frames", "frames received"),
       txFrames(this, "tx_frames", "frames transmitted"),
@@ -85,7 +85,7 @@ Nic::Nic(stats::Group *parent, const std::string &name, int index,
                           "skb pool empty at RX replenish"),
       rxFramesPerQueue(this, "rx_frames_per_queue",
                        "frames received per RX queue",
-                       queueBucketNames(config.numRxQueues)),
+                       queueBucketNames(num_rx_queues)),
       idx(index), kernel(kernel_ref), pool(pool_ref), wire(wire_ref),
       cfg(config),
       txLock(this, "tx_lock", prof::FuncId::LockDevQueue,
@@ -93,18 +93,18 @@ Nic::Nic(stats::Group *parent, const std::string &name, int index,
       txDmaEvents(kernel_ref.eventQueue()),
       txDoneEvents(kernel_ref.eventQueue())
 {
-    if (cfg.numRxQueues < 1)
-        sim::fatal("NIC %d: numRxQueues must be >= 1, got %d", index,
-                   cfg.numRxQueues);
+    if (num_rx_queues < 1)
+        sim::fatal("NIC %d: num_rx_queues must be >= 1, got %d", index,
+                   num_rx_queues);
 
     // Address-space layout and skb-pool draw order below must reduce,
-    // at numRxQueues == 1, to exactly the single-queue sequence (mmio,
+    // at num_rx_queues == 1, to exactly the single-queue sequence (mmio,
     // rx ring, tx ring, ring priming, vector registration): the
     // StaticPaper equivalence regression depends on it.
     auto &aspace = kernel.addressSpace();
     mmio = aspace.alloc(mem::Region::Mmio, 4096);
 
-    queues.resize(static_cast<std::size_t>(cfg.numRxQueues));
+    queues.resize(static_cast<std::size_t>(num_rx_queues));
     for (auto &q : queues) {
         q.descBase = aspace.alloc(
             mem::Region::NicRings,
@@ -125,7 +125,7 @@ Nic::Nic(stats::Group *parent, const std::string &name, int index,
         }
     }
 
-    for (int q = 0; q < cfg.numRxQueues; ++q) {
+    for (int q = 0; q < num_rx_queues; ++q) {
         // Queue 0 keeps the NIC's own name so single-queue vector
         // naming (and trace output) matches the pre-steering code.
         queues[static_cast<std::size_t>(q)].vector =

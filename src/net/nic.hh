@@ -48,12 +48,10 @@ struct NicConfig
 {
     int rxRingSize = 256; ///< descriptors per RX queue
     int txRingSize = 256;
-    /** RX queues (each with its own ring, vector, moderation). */
-    int numRxQueues = 1;
     /** Minimum ticks between interrupts (moderation / ITR). */
     sim::Tick irqGapTicks = 32'000; ///< 16 us at 2 GHz
     /** DMA engine latency from doorbell to wire handoff. */
-    sim::Tick dmaDelayTicks = 6'000; ///< 3 us
+    static constexpr sim::Tick dmaDelayTicks = 6'000; ///< 3 us
 };
 
 /** One NIC port wired to one remote peer. */
@@ -67,9 +65,13 @@ class Nic : public stats::Group
     using TxComplete = std::function<void(os::ExecContext &,
                                           const Packet &)>;
 
+    /**
+     * @param num_rx_queues RX queues, each with its own ring, vector
+     *        and moderation (the steering config's queue count)
+     */
     Nic(stats::Group *parent, const std::string &name, int index,
         os::Kernel &kernel, SkbPool &pool, Wire &wire,
-        const NicConfig &config = NicConfig{});
+        const NicConfig &config = NicConfig{}, int num_rx_queues = 1);
     ~Nic();
 
     int index() const { return idx; }
@@ -135,9 +137,6 @@ class Nic : public stats::Group
         return static_cast<int>(
             queues[static_cast<std::size_t>(q)].pendingRx.size());
     }
-
-    /** @return true if queue 0's vector is currently masked. */
-    bool irqMasked() const { return queues[0].masked; }
 
     /** @return frames received on queue @p q (steering diagnostics). */
     std::uint64_t

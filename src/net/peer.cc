@@ -104,14 +104,14 @@ RemotePeer::pump()
 {
     TcpConnection &conn = ep.conn;
     const bool established = conn.state() == TcpState::Established;
-    if (peerRole == PeerRole::Source && sending && established) {
+    if (peerRole == PeerRole::Source && established) {
         // ttcp transmitter: keep the send buffer brim-full. Bytes are
         // virtual, so just top it up.
         const std::uint32_t space = conn.sndBufSpace();
         if (space)
             conn.appendSendData(space);
     }
-    if (peerRole == PeerRole::Requester && sending && established) {
+    if (peerRole == PeerRole::Requester && established) {
         // Issue requests up to the pipeline depth.
         while (rpcInFlight < rpc.pipelineDepth &&
                conn.sndBufSpace() >= rpc.reqBytes) {

@@ -94,9 +94,6 @@ class RemotePeer : public stats::Group
     /** Passive-open and start serving (call before the SUT connects). */
     void start();
 
-    /** Stop generating new data (Source role). */
-    void stopSending() { sending = false; }
-
     PeerRole role() const { return peerRole; }
     TcpConnection &tcp() { return ep.conn; }
     const TcpConnection &tcp() const { return ep.conn; }
@@ -105,12 +102,6 @@ class RemotePeer : public stats::Group
     std::uint64_t bytesReceived() const
     {
         return ep.conn.deliveredBytes();
-    }
-
-    /** @return app-level bytes the peer has had acked (Source). */
-    std::uint64_t bytesAckedAsSource() const
-    {
-        return ep.conn.ackedBytes();
     }
 
     /** @return requests completed (Responder: answered;
@@ -126,7 +117,6 @@ class RemotePeer : public stats::Group
     Wire &wire;
     PeerRole peerRole;
     PeerConn ep;
-    bool sending = true;
     PeerRpcConfig rpc;
     std::uint64_t rpcConsumed = 0;  ///< inbound bytes consumed
     std::uint64_t rpcCompleted = 0; ///< full exchanges finished

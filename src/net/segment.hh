@@ -51,13 +51,6 @@ struct Segment
     bool fin() const { return flags & flagFin; }
     bool rst() const { return flags & flagRst; }
 
-    /** @return sequence space consumed (payload + SYN/FIN). */
-    std::uint64_t
-    seqSpace() const
-    {
-        return len + (syn() ? 1 : 0) + (fin() ? 1 : 0);
-    }
-
     std::string describe() const;
 };
 

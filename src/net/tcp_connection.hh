@@ -195,8 +195,6 @@ class TcpConnection
     std::uint64_t sndNxtAbs() const { return sndNxt; }
     std::uint64_t rcvNxtAbs() const { return rcvNxt; }
     std::uint32_t cwndBytes() const { return cwnd; }
-    std::uint32_t ssthreshBytes() const { return ssthresh; }
-    std::uint32_t peerWindow() const { return rwnd; }
     std::uint32_t advertisedWindow() const;
     std::uint64_t retransmitCount() const { return retransmits; }
     std::uint64_t dupAckCount() const { return dupAcksSeen; }

@@ -9,7 +9,6 @@ Kernel::Kernel(stats::Group *parent, sim::EventQueue &eq_ref,
     : stats::Group(parent, "kernel"),
       eq(eq_ref),
       cfg(config),
-      snoop(config.memTiming),
       acct(config.numCpus),
       rng(config.seed),
       sched(this, *this),

@@ -41,7 +41,6 @@ class RunQueue
              sim::Addr struct_addr, sim::Addr lock_addr);
 
     void push(Task *task) { queue.push_back(task); }
-    void pushFront(Task *task) { queue.push_front(task); }
 
     Task *pop();
 

@@ -53,9 +53,7 @@ class SpinLock : public stats::Group
     /** Release at estimated time @p now_est. */
     void release(ExecContext &ctx, sim::Tick now_est);
 
-    bool heldAt(sim::Tick t) const { return t < freeAt; }
     sim::CpuId lastOwner() const { return ownerCpu; }
-    prof::FuncId chargeFunc() const { return func; }
     sim::Addr lineAddr() const { return line; }
 
     stats::Scalar acquisitions;

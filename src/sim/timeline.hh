@@ -49,9 +49,6 @@ class TimelineTracer
         std::uint32_t category_mask =
             static_cast<std::uint32_t>(TraceFlag::All));
 
-    /** Replace the category mask (parseTraceFlags() builds one). */
-    void setCategories(std::uint32_t mask) { catMask = mask; }
-
     /** @return true if @p flag 's events are being recorded. */
     bool
     wants(TraceFlag flag) const

@@ -68,7 +68,6 @@ class FlowMixApp : public os::TaskLogic, public stats::Group
     {
         return static_cast<std::uint64_t>(appBytesRead.value());
     }
-    std::size_t liveChildren() const { return children.size(); }
 
     stats::Scalar accepted;     ///< children popped via accept()
     stats::Scalar retired;      ///< children fully closed + recycled

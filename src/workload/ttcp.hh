@@ -51,13 +51,6 @@ class TtcpApp : public os::TaskLogic, public stats::Group
 
     os::StepStatus step(os::ExecContext &ctx) override;
 
-    /** @return true once the connection handshake finished. */
-    bool connected() const { return phase == Phase::Run; }
-
-    std::uint64_t bytesWritten() const
-    {
-        return static_cast<std::uint64_t>(appBytesWritten.value());
-    }
     std::uint64_t bytesRead() const
     {
         return static_cast<std::uint64_t>(appBytesRead.value());

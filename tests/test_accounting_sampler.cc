@@ -318,4 +318,51 @@ TEST(SampleProfiler, SystemLevelSamplingTracksExactBinShares)
     }
 }
 
+TEST(PerfCounters, AgreeWithAccountingMatrixPerCpu)
+{
+    // Every charge posts both the per-CPU counters and one accounting
+    // row, and every asynchronous clear posts both as well; after a
+    // measured run the two views of each event must match exactly. The
+    // paper's 8 connections make some reschedule IPIs land on a busy
+    // CPU, so the IPI clear path is covered too.
+    core::SystemConfig cfg;
+    cfg.ttcp().mode = workload::TtcpMode::Receive;
+    cfg.ttcp().msgSize = 4096;
+    core::System sys(cfg);
+    core::RunSchedule sched;
+    sched.warmup = 10'000'000; // 5 ms
+    sched.measure = 20'000'000; // 10 ms
+    core::Experiment::measure(sys, sched);
+
+    const BinAccounting &acct = sys.kernel().accounting();
+    ASSERT_EQ(sys.kernel().numCpus(), 2);
+    for (int c = 0; c < sys.kernel().numCpus(); ++c) {
+        const cpu::PerfCounters &pc = sys.kernel().core(c).counters;
+        const struct
+        {
+            const stats::Scalar &counter;
+            Event ev;
+        } pairs[] = {
+            {pc.busyCycles, Event::Cycles},
+            {pc.instructions, Event::Instructions},
+            {pc.branches, Event::Branches},
+            {pc.brMispredicts, Event::BrMispredicts},
+            {pc.llcMisses, Event::LlcMisses},
+            {pc.l2Misses, Event::L2Misses},
+            {pc.tcMisses, Event::TcMisses},
+            {pc.itlbMisses, Event::ItlbMisses},
+            {pc.dtlbMisses, Event::DtlbMisses},
+            {pc.machineClears, Event::MachineClears},
+        };
+        for (const auto &p : pairs) {
+            EXPECT_EQ(static_cast<std::uint64_t>(p.counter.value()),
+                      acct.totalCpu(c, p.ev))
+                << "cpu " << c << " event " << eventName(p.ev);
+        }
+        EXPECT_GT(acct.totalCpu(c, Event::Cycles), 0u) << "cpu " << c;
+        EXPECT_GT(acct.totalCpu(c, Event::MachineClears), 0u)
+            << "cpu " << c;
+    }
+}
+
 } // namespace

@@ -207,23 +207,21 @@ TEST(Campaign, DistinctPointsWithEqualKeysBothRun)
 
 TEST(Campaign, BadPlatformGeometryIsRejectedNamingPointAndField)
 {
-    // Geometry the cache/TLB models cannot build used to exit or abort
-    // the whole process from inside a worker; now the campaign throws,
-    // before any point runs, naming the point and the field.
+    // A platform the model cannot build must not exit or abort the
+    // whole process from inside a worker: the campaign throws, before
+    // any point runs, naming the point and the field.
     struct Case
     {
         void (*breakIt)(cpu::PlatformConfig &);
         const char *field;
     };
     const Case cases[] = {
-        {[](cpu::PlatformConfig &p) { p.cacheGeometry.l2Assoc = 3; },
-         "cacheGeometry.l2Size"},
-        {[](cpu::PlatformConfig &p) { p.dtlbEntries = 0; },
-         "dtlbEntries"},
-        {[](cpu::PlatformConfig &p) { p.dtlbEntries = 4097; },
-         "dtlbEntries"},
-        {[](cpu::PlatformConfig &p) { p.itlbEntries = 0; },
-         "itlbEntries"},
+        {[](cpu::PlatformConfig &p) { p.numCpus = 0; }, "numCpus"},
+        {[](cpu::PlatformConfig &p) { p.numCpus = 9; }, "numCpus"},
+        {[](cpu::PlatformConfig &p) { p.orderingClearProb = -0.5; },
+         "orderingClearProb"},
+        {[](cpu::PlatformConfig &p) { p.orderingClearProb = 1.5; },
+         "orderingClearProb"},
     };
     for (const Case &c : cases) {
         std::vector<core::CampaignPoint> points = tinyPoints();

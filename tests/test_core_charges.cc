@@ -17,7 +17,7 @@ namespace {
 class CoreTest : public ::testing::Test
 {
   protected:
-    CoreTest() : acct(2), domain(cfg().memTiming)
+    CoreTest() : acct(2)
     {
         core0 = std::make_unique<Core>(&root, "cpu0", 0, config, domain,
                                        acct);
@@ -29,15 +29,8 @@ class CoreTest : public ::testing::Test
         core1->beginDispatch();
     }
 
-    static PlatformConfig
-    cfg()
-    {
-        PlatformConfig c;
-        return c;
-    }
-
     stats::Group root{nullptr, ""};
-    PlatformConfig config = cfg();
+    PlatformConfig config;
     prof::BinAccounting acct;
     mem::SnoopDomain domain;
     std::unique_ptr<Core> core0;

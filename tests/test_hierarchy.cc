@@ -51,7 +51,7 @@ TEST_F(HierarchyTest, ColdReadMissesToMemory)
     EXPECT_EQ(r.lines, 1u);
     EXPECT_EQ(r.llcMisses, 1u);
     EXPECT_EQ(r.remoteHits, 0u);
-    EXPECT_EQ(r.stallCycles, domain.memTiming().memCycles);
+    EXPECT_EQ(r.stallCycles, MemTiming::memCycles);
     EXPECT_TRUE(h0.present(kAddr));
     EXPECT_EQ(h0.probeLine(kAddr), LineState::Shared);
 }
@@ -97,7 +97,7 @@ TEST_F(HierarchyTest, RemoteDirtyReadIsCacheToCache)
     h0.access(kAddr, 64, true); // Modified on CPU0
     AccessResult r = h1.access(kAddr, 64, false);
     EXPECT_EQ(r.remoteHits, 1u);
-    EXPECT_EQ(r.stallCycles, domain.memTiming().c2cCycles);
+    EXPECT_EQ(r.stallCycles, MemTiming::c2cCycles);
     // Downgraded to Shared on both sides.
     EXPECT_EQ(h0.probeLine(kAddr), LineState::Shared);
     EXPECT_EQ(h1.probeLine(kAddr), LineState::Shared);
@@ -124,7 +124,7 @@ TEST_F(HierarchyTest, PingPongCostsEveryTime)
         total_stall += h1.access(kAddr, 8, true).stallCycles;
     }
     // After the first fill, every access is a c2c transfer.
-    EXPECT_GE(total_stall, 11 * domain.memTiming().c2cCycles);
+    EXPECT_GE(total_stall, 11 * MemTiming::c2cCycles);
 }
 
 TEST_F(HierarchyTest, InclusionL3VictimBackInvalidatesInnerLevels)
@@ -174,10 +174,10 @@ TEST_F(HierarchyTest, UncacheableAccessBypassesCaches)
         static_cast<sim::Addr>(Region::Mmio) * (1ULL << 30) + 0x40;
     AccessResult rd = h0.access(mmio, 4, false);
     EXPECT_EQ(rd.uncached, 1u);
-    EXPECT_EQ(rd.stallCycles, domain.memTiming().uncachedCycles);
+    EXPECT_EQ(rd.stallCycles, MemTiming::uncachedCycles);
     EXPECT_FALSE(h0.present(mmio));
     AccessResult wr = h0.access(mmio, 4, true);
-    EXPECT_EQ(wr.stallCycles, domain.memTiming().uncachedWriteCycles);
+    EXPECT_EQ(wr.stallCycles, MemTiming::uncachedWriteCycles);
 }
 
 TEST_F(HierarchyTest, OverlapScalesMissPenalty)
@@ -208,7 +208,7 @@ TEST_F(HierarchyTest, L2AndL3HitLatencies)
     EXPECT_EQ(r.l1Hits, 0u);
     EXPECT_EQ(r.l2Hits + r.l3Hits, 1u);
     EXPECT_GT(r.stallCycles, 0u);
-    EXPECT_LT(r.stallCycles, domain.memTiming().memCycles);
+    EXPECT_LT(r.stallCycles, MemTiming::memCycles);
 }
 
 TEST(HierarchyDeath, CpusMustRegisterInOrder)

@@ -234,7 +234,7 @@ class RefHierarchy
 class RefDomain
 {
   public:
-    RefDomain(const MemTiming &t, unsigned line) : timing(t), line(line) {}
+    explicit RefDomain(unsigned line) : line(line) {}
 
     LineState
     snoopWrite(int requester, sim::Addr la,
@@ -291,7 +291,6 @@ class RefDomain
         return res;
     }
 
-    MemTiming timing;
     unsigned line;
     std::vector<std::unique_ptr<RefHierarchy>> cpus;
 };
@@ -303,14 +302,14 @@ RefHierarchy::access(sim::Addr addr, std::uint32_t bytes, bool write,
     AccessResult res;
     if (bytes == 0)
         return res;
-    const MemTiming &t = domain.timing;
     const sim::Addr first = addr / line * line;
     const sim::Addr last = (addr + bytes - 1) / line * line;
     if (AddressAllocator::isUncacheable(addr)) {
         res.uncached = res.lines =
             static_cast<std::uint32_t>((last - first) / line + 1);
-        res.stallCycles = std::uint64_t{res.lines} *
-                          (write ? t.uncachedWriteCycles : t.uncachedCycles);
+        res.stallCycles =
+            std::uint64_t{res.lines} * (write ? MemTiming::uncachedWriteCycles
+                                              : MemTiming::uncachedCycles);
         ++accesses;
         stallCycles += static_cast<double>(res.stallCycles);
         return res;
@@ -322,14 +321,14 @@ RefHierarchy::access(sim::Addr addr, std::uint32_t bytes, bool write,
         const LineState s1 = l1.lookup(la);
         if (s1 != LineState::Invalid) {
             ++res.l1Hits;
-            stall += t.l1HitCycles;
+            stall += MemTiming::l1HitCycles;
             if (write && s1 == LineState::Shared) {
                 domain.snoopWrite(cpu, la, res.stolenFrom);
                 l1.setModified(la);
                 l2.setModified(la);
                 l3.setModified(la);
                 ++res.upgrades;
-                stall += t.upgradeCycles;
+                stall += MemTiming::upgradeCycles;
             }
             continue;
         }
@@ -337,11 +336,11 @@ RefHierarchy::access(sim::Addr addr, std::uint32_t bytes, bool write,
         LineState fillState;
         if (s2 != LineState::Invalid) {
             ++res.l2Hits;
-            stall += t.l2HitCycles * overlap;
+            stall += MemTiming::l2HitCycles * overlap;
             if (write && s2 == LineState::Shared) {
                 domain.snoopWrite(cpu, la, res.stolenFrom);
                 ++res.upgrades;
-                stall += t.upgradeCycles;
+                stall += MemTiming::upgradeCycles;
             }
             fillState = write ? LineState::Modified : s2;
         } else {
@@ -349,11 +348,11 @@ RefHierarchy::access(sim::Addr addr, std::uint32_t bytes, bool write,
             const LineState s3 = l3.lookup(la);
             if (s3 != LineState::Invalid) {
                 ++res.l3Hits;
-                stall += t.l3HitCycles * overlap;
+                stall += MemTiming::l3HitCycles * overlap;
                 if (write && s3 == LineState::Shared) {
                     domain.snoopWrite(cpu, la, res.stolenFrom);
                     ++res.upgrades;
-                    stall += t.upgradeCycles;
+                    stall += MemTiming::upgradeCycles;
                 }
                 fillState = write ? LineState::Modified : s3;
             } else {
@@ -364,9 +363,9 @@ RefHierarchy::access(sim::Addr addr, std::uint32_t bytes, bool write,
                           : domain.snoopRead(cpu, la);
                 if (remote != LineState::Invalid) {
                     ++res.remoteHits;
-                    stall += t.c2cCycles * overlap;
+                    stall += MemTiming::c2cCycles * overlap;
                 } else {
-                    stall += t.memCycles * overlap;
+                    stall += MemTiming::memCycles * overlap;
                 }
             }
         }
@@ -434,12 +433,11 @@ TEST_P(HierarchyVsReference, RandomStreamAgrees)
 {
     const auto [ncpus, with_dma, seed] = GetParam();
     const CacheGeometry geom = smallGeom();
-    const MemTiming timing;
 
     stats::Group root(nullptr, "");
-    SnoopDomain domain(timing);
+    SnoopDomain domain;
     std::vector<std::unique_ptr<CacheHierarchy>> real;
-    RefDomain ref(timing, geom.lineBytes);
+    RefDomain ref(geom.lineBytes);
     for (int c = 0; c < ncpus; ++c) {
         real.push_back(std::make_unique<CacheHierarchy>(
             &root, "h" + std::to_string(c), c, geom, domain));
