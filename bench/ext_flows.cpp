@@ -91,21 +91,9 @@ runLadderRung(std::uint64_t total)
     cfg.mix().totalFlows = total;
     core::System sys(cfg);
     sys.establishAll(1'000'000);
-
-    // Run until the whole population has drained on BOTH ends:
-    // arrivals stop by themselves once totalFlows have been launched,
-    // and the server must also see the final ACKs (still in flight
-    // when the client finishes) and retire its children.
+    // Run until the whole population has drained on BOTH ends.
+    sys.drainFlows();
     net::FlowClientPeer &client = sys.flowPeer(0);
-    const sim::Tick slice = 20'000'000; // 10 ms
-    while (client.flowsCompletedCount() < total ||
-           client.liveFlows() != 0 ||
-           sys.driver().connectionTable().size() != 0 ||
-           sys.socketPool().inUse() != 0) {
-        sys.runFor(slice);
-        if (sys.eventQueue().now() > 40'000'000'000ull) // 20 s simulated
-            break;
-    }
 
     LadderPoint p;
     p.totalFlows = total;
@@ -173,8 +161,9 @@ churnLadder(bool smoke)
 /**
  * High-concurrency steering sweep through the campaign engine. Flow
  * Director's learn-on-transmit table must observe migrations (ACKs
- * leave from softirq CPUs, responses from the app's CPU, and the app
- * floats under non-static policies); RSS has no flow table at all.
+ * leave from softirq CPUs, window updates and FINs from the app's CPU,
+ * and the app floats under non-static policies); RSS has no flow table
+ * at all.
  */
 void
 steeringSweep(bool smoke)

@@ -120,17 +120,8 @@ runRung(std::uint64_t total, sim::Tick hop_ticks)
     cfg.mix().senderHopTicks = hop_ticks;
     core::System sys(cfg);
     sys.establishAll(1'000'000);
-
+    sys.drainFlows();
     net::FlowClientPeer &client = sys.flowPeer(0);
-    const sim::Tick slice = 20'000'000; // 10 ms
-    while (client.flowsCompletedCount() < total ||
-           client.liveFlows() != 0 ||
-           sys.driver().connectionTable().size() != 0 ||
-           sys.socketPool().inUse() != 0) {
-        sys.runFor(slice);
-        if (sys.eventQueue().now() > 40'000'000'000ull) // 20 s simulated
-            break;
-    }
 
     auto u64 = [](const stats::Scalar &s) {
         return static_cast<std::uint64_t>(s.value());

@@ -44,8 +44,7 @@ struct WebRig
             wcfg.responseBytes = templates[i % 4];
 
             wires.push_back(std::make_unique<net::Wire>(
-                &root, sim::format("wire%d", i), eq, 2.0e9, 1.0e9,
-                10'000));
+                &root, sim::format("wire%d", i), eq));
             nics.push_back(std::make_unique<net::Nic>(
                 &root, sim::format("nic%d", i), i, kernel, pool,
                 *wires[i]));

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <map>
 #include <stdexcept>
 
@@ -227,34 +226,13 @@ Experiment::measure(System &system, const RunSchedule &schedule)
     system.beginMeasurement();
     const std::uint64_t sink_before = system.sinkBytes();
     const sim::Tick t0 = system.eventQueue().now();
-    const double freq = system.config().platform.freqHz;
-
-    if (schedule.maxWindows <= 1) {
-        runSliced(schedule.measure, "measure");
-    } else {
-        // Convergence mode: extend window by window until the
-        // cumulative throughput stabilizes.
-        double prev_rate = -1.0;
-        for (int w = 0; w < schedule.maxWindows; ++w) {
-            runSliced(schedule.measure, "measure");
-            const double secs = sim::ticksToSeconds(
-                system.eventQueue().now() - t0, freq);
-            const double rate =
-                static_cast<double>(system.sinkBytes() - sink_before) /
-                secs;
-            if (prev_rate > 0 &&
-                std::abs(rate - prev_rate) <=
-                    schedule.convergeTolerance * prev_rate) {
-                break;
-            }
-            prev_rate = rate;
-        }
-    }
+    runSliced(schedule.measure, "measure");
     system.endMeasurement();
 
     const sim::Tick t1 = system.eventQueue().now();
     const std::uint64_t payload = system.sinkBytes() - sink_before;
-    const double seconds = sim::ticksToSeconds(t1 - t0, freq);
+    const double seconds =
+        sim::ticksToSeconds(t1 - t0, system.config().platform.freqHz);
 
     return extract(system, seconds, payload);
 }

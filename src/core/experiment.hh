@@ -19,13 +19,12 @@ struct RunSchedule
     sim::Tick measure = 100'000'000;             ///< 50 ms
 
     /**
-     * Convergence mode: instead of one fixed window, measure in
-     * windows of @c measure ticks until consecutive windows'
-     * throughputs agree within @c convergeTolerance (relative), or
-     * @c maxWindows is reached. 0 windows disables (the default).
+     * Every run measures one window of @c measure ticks. These two
+     * constants name the fixed single-window schedule in the point key
+     * text, so the keys of existing result streams still match.
      */
-    int maxWindows = 0;
-    double convergeTolerance = 0.01;
+    static constexpr int maxWindows = 0;
+    static constexpr double convergeTolerance = 0.01;
 
     /**
      * Wall-clock watchdog: if one run (establish + warmup + measure)

@@ -58,31 +58,37 @@ canonicalPointText(const SystemConfig &config,
     // summary() omits. The "|k=v" framing keeps fields unambiguous even
     // where a label could contain spaces.
     std::string t = config.summary();
-    t += "|seed=" + std::to_string(config.platform.seed);
+    // Each piece is appended on its own: `"lit" + std::to_string(...)`
+    // temporaries make g++ 12 at -O3 warn of an overlapping memcpy.
+    auto add = [&t](const char *label, const std::string &value) {
+        t += label;
+        t += value;
+    };
+    add("|seed=", std::to_string(config.platform.seed));
     // The clock and the wire are constants of the modeled platform,
     // the wire has no loss knob of its own (loss comes only from the
-    // fault plan), and a run always has one event queue, but all these
-    // fields stay in the text so keys of existing JSONL stores and
-    // perfbench's references still match.
-    t += "|freq=" + dblText(cpu::PlatformConfig::freqHz);
-    t += "|wire=" + dblText(SystemConfig::wireBitsPerSec);
-    t += "," + std::to_string(SystemConfig::wireLatencyTicks);
+    // fault plan), a run always has one event queue and one measurement
+    // window, but all these fields stay in the text so keys of existing
+    // JSONL stores and perfbench's references still match.
+    add("|freq=", dblText(cpu::PlatformConfig::freqHz));
+    add("|wire=", dblText(SystemConfig::wireBitsPerSec));
+    add(",", std::to_string(SystemConfig::wireLatencyTicks));
     t += ",0|lanes=1";
-    t += "|iv=" + dblText(config.statsIntervalUs);
-    t += "|sched=" + std::to_string(schedule.establishDeadline);
-    t += "," + std::to_string(schedule.warmup);
-    t += "," + std::to_string(schedule.measure);
-    t += "," + std::to_string(schedule.maxWindows);
-    t += "," + dblText(schedule.convergeTolerance);
+    add("|iv=", dblText(config.statsIntervalUs));
+    add("|sched=", std::to_string(schedule.establishDeadline));
+    add(",", std::to_string(schedule.warmup));
+    add(",", std::to_string(schedule.measure));
+    add(",", std::to_string(RunSchedule::maxWindows));
+    add(",", dblText(RunSchedule::convergeTolerance));
     // A disabled plan adds nothing, so fault-free keys are unchanged.
     if (const sim::FaultPlan &f = config.faults; f.enabled()) {
-        t += "|faults=" + faultDirectionText(f.toPeer);
-        t += ";" + faultDirectionText(f.toSut);
-        t += ";" + std::to_string(f.linkFlapPeriodTicks);
-        t += "," + std::to_string(f.linkFlapDownTicks);
-        t += "," + std::to_string(f.rxStallPeriodTicks);
-        t += "," + std::to_string(f.rxStallTicks);
-        t += "," + dblText(f.irqLossProb);
+        add("|faults=", faultDirectionText(f.toPeer));
+        add(";", faultDirectionText(f.toSut));
+        add(";", std::to_string(f.linkFlapPeriodTicks));
+        add(",", std::to_string(f.linkFlapDownTicks));
+        add(",", std::to_string(f.rxStallPeriodTicks));
+        add(",", std::to_string(f.rxStallTicks));
+        add(",", dblText(f.irqLossProb));
     }
     return t;
 }

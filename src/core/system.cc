@@ -60,61 +60,19 @@ SystemConfig::validate() const
             "model)",
             maxModelCpus, steering.numQueues));
     }
-    if (steering.kind == net::SteeringKind::StaticPaper) {
-        if (steering.numQueues != 1) {
-            throw std::runtime_error(sim::format(
-                "SystemConfig: the static (paper) steering policy is "
-                "single-queue by definition, got numQueues=%d — use "
-                "rss or flow_director for multi-queue",
-                steering.numQueues));
-        }
-        if (!steering.queueCpus.empty()) {
-            throw std::runtime_error(
-                "SystemConfig: steering.queueCpus is meaningless under "
-                "the static (paper) policy (queue 0 follows the "
-                "affinity mode); leave it empty");
-        }
-    }
-    if (steering.rssTableSize < 1 ||
-        (steering.rssTableSize & (steering.rssTableSize - 1)) != 0) {
+    if (steering.kind == net::SteeringKind::StaticPaper &&
+        steering.numQueues != 1) {
         throw std::runtime_error(sim::format(
-            "SystemConfig: steering.rssTableSize must be a positive "
-            "power of two (the hash is masked, not divided), got %d",
-            steering.rssTableSize));
+            "SystemConfig: the static (paper) steering policy is "
+            "single-queue by definition, got numQueues=%d — use rss or "
+            "flow_director for multi-queue",
+            steering.numQueues));
     }
     if (steering.flowTableSize < 1) {
         throw std::runtime_error(sim::format(
             "SystemConfig: steering.flowTableSize must be positive, "
             "got %d",
             steering.flowTableSize));
-    }
-    if (!steering.queueCpus.empty() &&
-        static_cast<int>(steering.queueCpus.size()) !=
-            steering.numQueues) {
-        throw std::runtime_error(sim::format(
-            "SystemConfig: steering.queueCpus must map every queue "
-            "(size %d), got %zu entries",
-            steering.numQueues, steering.queueCpus.size()));
-    }
-    for (std::size_t q = 0; q < steering.queueCpus.size(); ++q) {
-        if (steering.queueCpus[q] < 0 ||
-            steering.queueCpus[q] >= platform.numCpus) {
-            throw std::runtime_error(sim::format(
-                "SystemConfig: steering.queueCpus[%zu] = %d references "
-                "a CPU outside [0, %d) — the interrupt would target a "
-                "CPU that does not exist",
-                q, steering.queueCpus[q], platform.numCpus));
-        }
-    }
-    for (std::size_t i = 0; i < steering.pinCpus.size(); ++i) {
-        if (steering.pinCpus[i] < 0 ||
-            steering.pinCpus[i] >= platform.numCpus) {
-            throw std::runtime_error(sim::format(
-                "SystemConfig: steering.pinCpus[%zu] = %d references a "
-                "CPU outside [0, %d) — the process could never be "
-                "scheduled",
-                i, steering.pinCpus[i], platform.numCpus));
-        }
     }
 
     faults.validate("SystemConfig: faults.");
@@ -216,8 +174,7 @@ System::System(const SystemConfig &config)
 
     for (int i = 0; i < cfg.numConnections; ++i) {
         wires.push_back(std::make_unique<net::Wire>(
-            this, sim::format("wire%d", i), eq, cfg.platform.freqHz,
-            cfg.wireBitsPerSec, cfg.wireLatencyTicks));
+            this, sim::format("wire%d", i), eq));
         nics.push_back(std::make_unique<net::Nic>(
             this, sim::format("nic%d", i), i, *kern, *pool, *wires[i],
             cfg.nic, cfg.steering.numQueues));
@@ -259,24 +216,9 @@ System::System(const SystemConfig &config)
             drv->listenSocket(*sockets[i], *nics[i],
                               mix.listenBacklog);
 
-            net::FlowClientConfig fcc;
-            fcc.serverAddr = net::sutAddr(i);
-            fcc.serverPort = mix.listenPort;
-            fcc.clientAddr = net::peerAddr(i);
-            fcc.maxConcurrentFlows = mix.maxConcurrentFlows;
-            fcc.totalFlows = mix.totalFlows;
-            fcc.flowSizeMin = mix.flowSizeMin;
-            fcc.flowSizeMax = mix.flowSizeMax;
-            fcc.flowSizeShape = mix.flowSizeShape;
-            fcc.meanInterarrivalTicks = mix.meanInterarrivalTicks;
-            fcc.stormSize = mix.stormSize;
-            fcc.rpc = mix.rpc;
-            fcc.rpcRequestBytes = mix.rpcRequestBytes;
-            fcc.rpcResponseBytes = mix.rpcResponseBytes;
-            fcc.rpcExchangesPerFlow = mix.rpcExchangesPerFlow;
-            fcc.tcp = cfg.tcp;
             flowPeers.push_back(std::make_unique<net::FlowClientPeer>(
-                this, sim::format("flowsrc%d", i), eq, *wires[i], fcc,
+                this, sim::format("flowsrc%d", i), eq, *wires[i], i, mix,
+                cfg.tcp,
                 cfg.platform.seed * 524287ULL +
                     static_cast<std::uint64_t>(i) * 31ULL + 7));
             flowPeers[i]->start();
@@ -306,7 +248,7 @@ System::System(const SystemConfig &config)
         } else {
             mixApps.push_back(std::make_unique<workload::FlowMixApp>(
                 this, sim::format("mix%d", i), *kern, *drv,
-                *sockets[i], cfg.mix()));
+                *sockets[i]));
             tasks.push_back(
                 kern->createTask(sim::format("mix%d", i),
                                  mixApps[i].get(),
@@ -348,8 +290,8 @@ void
 System::hopSenderTasks()
 {
     // Scheduler-induced migration: rotate every server task to the
-    // next CPU. The task's next transmissions (window updates, RPC
-    // responses) leave from the new core; under Flow Director that
+    // next CPU. The task's next transmissions (window updates, FINs)
+    // leave from the new core; under Flow Director that
     // re-learns its live flows onto the new core's RX queue while
     // packets already behind the old queue's vector are still in
     // flight — the reordering window bench/ext_reorder measures.
@@ -406,6 +348,30 @@ void
 System::runFor(sim::Tick duration)
 {
     eq.runUntil(eq.now() + duration);
+}
+
+void
+System::drainFlows()
+{
+    // Arrivals stop by themselves once totalFlows have been launched;
+    // the server must also see the final ACKs (still in flight when a
+    // client finishes) and retire its children.
+    auto drained = [this] {
+        for (const auto &fp : flowPeers) {
+            if (fp->flowsCompletedCount() < cfg.mix().totalFlows ||
+                fp->liveFlows() != 0)
+                return false;
+        }
+        return drv->connectionTable().size() == 0 &&
+               sockPool->inUse() == 0;
+    };
+    const sim::Tick slice = 20'000'000;      // 10 ms
+    const sim::Tick limit = 40'000'000'000; // 20 s
+    while (!drained()) {
+        runFor(slice);
+        if (eq.now() > limit)
+            break;
+    }
 }
 
 void

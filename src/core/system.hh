@@ -52,8 +52,8 @@ struct SystemConfig
     workload::Spec workload = workload::TtcpConfig{};
     net::TcpConfig tcp{};
     net::NicConfig nic{};
-    static constexpr double wireBitsPerSec = 1.0e9;
-    static constexpr sim::Tick wireLatencyTicks = 10'000; ///< 5 us
+    static constexpr double wireBitsPerSec = net::Wire::bitsPerSec;
+    static constexpr sim::Tick wireLatencyTicks = net::Wire::latencyTicks;
     int skbPoolSlots = 0; ///< 0 = sized automatically
     /**
      * Linux-2.6-style rotating IRQ distribution interval (0 = static
@@ -199,6 +199,14 @@ class System : public stats::Group
 
     /** Advance simulated time by @p duration. */
     void runFor(sim::Tick duration);
+
+    /**
+     * Mix only: run in 10 ms slices until every client peer has
+     * completed its mix.totalFlows flows and holds none live, and the
+     * connection table and socket pool are empty; give up once
+     * simulated time passes 20 s.
+     */
+    void drainFlows();
 
     /** Zero all statistics and clamp idle accounting (end of warmup). */
     void beginMeasurement();

@@ -28,7 +28,7 @@ FlowClientPeer::CFlow::CFlow(FlowClientPeer &owner)
     // Cheap static names on the hot path; reset() builds the per-flow
     // name only while event tracing is on.
     : PeerConn(
-          "cflow", FlowKey{}, owner.cfg.tcp,
+          "cflow", FlowKey{}, owner.tcp,
           [&owner, this] {
               conn.onRtoTimer(owner.eq.now());
               owner.flowTimerFired(*this);
@@ -47,12 +47,9 @@ void
 FlowClientPeer::CFlow::reset(FlowClientPeer &owner, const FlowKey &k)
 {
     key = k;
-    conn = TcpConnection(owner.cfg.tcp);
+    conn = TcpConnection(owner.tcp);
     targetBytes = 0;
     sent = 0;
-    exchangesDone = 0;
-    requestOutstanding = false;
-    respConsumed = 0;
     if (sim::traceEnabled(sim::TraceFlag::Event)) {
         rtoEvent.setName(sim::format("%s.rto:%s",
                                      owner.groupName().c_str(),
@@ -66,7 +63,8 @@ FlowClientPeer::CFlow::reset(FlowClientPeer &owner, const FlowKey &k)
 FlowClientPeer::FlowClientPeer(stats::Group *parent,
                                const std::string &name,
                                sim::EventQueue &eq_ref, Wire &wire_ref,
-                               const FlowClientConfig &config,
+                               int conn, const FlowMixConfig &config,
+                               const TcpConfig &tcp_config,
                                std::uint64_t seed)
     : stats::Group(parent, name),
       flowsStarted(this, "flows_started", "flows opened by the client"),
@@ -84,18 +82,12 @@ FlowClientPeer::FlowClientPeer(stats::Group *parent,
                           "Eifel-classified spurious retransmissions"),
       dupAckBursts(this, "dup_ack_bursts",
                    "duplicate-ACK bursts received over completed flows"),
-      eq(eq_ref), wire(wire_ref), cfg(config), rng(seed),
+      eq(eq_ref), wire(wire_ref), cfg(config), tcp(tcp_config),
+      serverAddr(sutAddr(conn)), clientAddr(peerAddr(conn)), rng(seed),
       buckets(sizeBucketCount),
       arrivalEvent(name + ".arrival", [this] { onArrival(); }),
       reapEvent(name + ".reap", [this] { reapCompleted(); })
 {
-    if (cfg.maxConcurrentFlows <= 0)
-        sim::fatal("FlowClientPeer: maxConcurrentFlows must be > 0");
-    if (cfg.stormSize <= 0)
-        sim::fatal("FlowClientPeer: stormSize must be > 0");
-    if (cfg.flowSizeMin == 0 || cfg.flowSizeMax < cfg.flowSizeMin)
-        sim::fatal("FlowClientPeer: bad flow size range [%u, %u]",
-                   cfg.flowSizeMin, cfg.flowSizeMax);
     for (std::size_t i = 0; i < buckets.size(); ++i)
         buckets[i].maxBytes =
             i == 0 ? 0 : (std::uint64_t(1) << i) - 1;
@@ -192,8 +184,7 @@ FlowClientPeer::startFlow()
     flows.emplace(key, std::move(flow));
     ++launched;
     ++flowsStarted;
-    if (!cfg.rpc)
-        f.targetBytes = drawFlowSize();
+    f.targetBytes = drawFlowSize();
     f.conn.openActive();
     pumpFlow(f);
 }
@@ -227,9 +218,9 @@ FlowClientPeer::mintKey()
     // live flow. Keys are SUT-perspective: local = server side.
     for (int tries = 0; tries < 64512; ++tries) {
         FlowKey key;
-        key.localAddr = cfg.serverAddr;
-        key.localPort = cfg.serverPort;
-        key.remoteAddr = cfg.clientAddr;
+        key.localAddr = serverAddr;
+        key.localPort = FlowMixConfig::listenPort;
+        key.remoteAddr = clientAddr;
         key.remotePort = nextPort;
         nextPort = nextPort == 65535 ? 1024 : nextPort + 1;
         if (flows.find(key) == flows.end())
@@ -245,38 +236,16 @@ void
 FlowClientPeer::pumpFlow(CFlow &f)
 {
     if (f.conn.state() == TcpState::Established) {
-        if (!cfg.rpc) {
-            if (f.sent < f.targetBytes) {
-                const std::uint64_t space = f.conn.sndBufSpace();
-                const std::uint64_t want = f.targetBytes - f.sent;
-                const auto n = static_cast<std::uint32_t>(
-                    std::min(space, want));
-                if (n)
-                    f.sent += f.conn.appendSendData(n);
-            }
-            if (f.sent >= f.targetBytes)
-                f.conn.close();
-        } else {
-            f.respConsumed += f.conn.consume(f.conn.readableBytes());
-            if (f.requestOutstanding &&
-                f.respConsumed >=
-                    static_cast<std::uint64_t>(f.exchangesDone + 1) *
-                        cfg.rpcResponseBytes) {
-                ++f.exchangesDone;
-                f.requestOutstanding = false;
-            }
-            if (!f.requestOutstanding) {
-                if (f.exchangesDone < cfg.rpcExchangesPerFlow) {
-                    if (f.conn.sndBufSpace() >= cfg.rpcRequestBytes) {
-                        f.sent +=
-                            f.conn.appendSendData(cfg.rpcRequestBytes);
-                        f.requestOutstanding = true;
-                    }
-                } else {
-                    f.conn.close();
-                }
-            }
+        if (f.sent < f.targetBytes) {
+            const std::uint64_t space = f.conn.sndBufSpace();
+            const std::uint64_t want = f.targetBytes - f.sent;
+            const auto n =
+                static_cast<std::uint32_t>(std::min(space, want));
+            if (n)
+                f.sent += f.conn.appendSendData(n);
         }
+        if (f.sent >= f.targetBytes)
+            f.conn.close();
     }
     scratch.clear();
     f.conn.pullSegments(eq.now(), scratch);

@@ -7,8 +7,8 @@
  * Where RemotePeer models one long-lived ttcp endpoint, FlowClientPeer
  * models the *population* the steering literature cares about: flows
  * arrive in a seeded Poisson process (optionally in connect storms),
- * carry heavy-tailed (bounded-Pareto) byte counts or fixed-geometry
- * RPC exchanges, and actively close when done — exercising the SUT's
+ * carry heavy-tailed (bounded-Pareto) byte counts, and actively close
+ * when done — exercising the SUT's
  * listen/accept path, connection-table churn, and socket recycling.
  *
  * Every flow is its own PeerConn — a TcpConnection with per-flow
@@ -35,37 +35,45 @@
 
 namespace na::net {
 
-/** Traffic-mix parameters for one client box. */
-struct FlowClientConfig
+/**
+ * Many-flow churn workload parameters, per connection (NIC). One copy
+ * drives both ends of the churn plane: the FlowClientPeer generating
+ * the flows reads it, and core::System provisions the SUT's listener
+ * and workload::FlowMixApp from it.
+ */
+struct FlowMixConfig
 {
-    /** SUT-side listen address/port flows connect to. */
-    std::uint32_t serverAddr = 0;
-    std::uint16_t serverPort = 5001;
-    /** Client-side address stamped into minted FlowKeys. */
-    std::uint32_t clientAddr = 0;
-
-    /** Concurrency cap: arrivals beyond it are deferred, not lost. */
+    /** Client-side concurrency cap; arrivals beyond it defer. */
     int maxConcurrentFlows = 64;
-    /** Total flows to generate (0 = unbounded until stopArrivals). */
+    /** Total flows to generate per NIC (0 = unbounded). */
     std::uint64_t totalFlows = 0;
 
-    /** Bounded-Pareto flow-size distribution (client -> server). */
+    /** Bounded-Pareto flow sizes (client payload per flow). */
     std::uint32_t flowSizeMin = 2048;
     std::uint32_t flowSizeMax = 1 << 20;
     double flowSizeShape = 1.2; ///< tail index alpha
 
-    /** Mean flow interarrival (ticks); arrivals are exponential. */
-    double meanInterarrivalTicks = 2'000'000;
-    /** Flows launched per arrival event (connect storms when > 1). */
+    /** Mean exponential flow interarrival, in ticks. */
+    double meanInterarrivalTicks = 200'000;
+    /** Flows per arrival event (> 1 models connect storms). */
     int stormSize = 1;
 
-    /** RPC mode: request/response exchanges instead of bulk bytes. */
-    bool rpc = false;
-    std::uint32_t rpcRequestBytes = 128;
-    std::uint32_t rpcResponseBytes = 4096;
-    int rpcExchangesPerFlow = 1;
+    /** Server-side listen/accept plane. */
+    static constexpr std::uint16_t listenPort = 5001;
+    int listenBacklog = 128;
+    /** Bytes per server read() call. */
+    static constexpr std::uint32_t readChunk = 16 * 1024;
 
-    TcpConfig tcp;
+    /**
+     * Scheduler-induced migration driver: every senderHopTicks the
+     * system re-pins each server task to the next CPU (round-robin),
+     * forcing its transmissions onto a new core mid-flow. Under Flow
+     * Director every hop re-steers the live flows' RX queue — the
+     * controlled reordering source bench/ext_reorder sweeps. 0 (the
+     * default) disables hopping; nothing else in the run changes, so
+     * default-config results stay bit-identical.
+     */
+    std::uint64_t senderHopTicks = 0;
 };
 
 /** Per-flow-size-bucket completion log (log2 buckets). */
@@ -80,9 +88,14 @@ struct FlowSizeBucket
 class FlowClientPeer : public stats::Group
 {
   public:
+    /**
+     * @param conn the connection (NIC) index: flows run from
+     *             peerAddr(conn) to the listener at sutAddr(conn)
+     */
     FlowClientPeer(stats::Group *parent, const std::string &name,
-                   sim::EventQueue &eq, Wire &wire,
-                   const FlowClientConfig &config, std::uint64_t seed);
+                   sim::EventQueue &eq, Wire &wire, int conn,
+                   const FlowMixConfig &config, const TcpConfig &tcp,
+                   std::uint64_t seed);
     ~FlowClientPeer();
 
     /** Attach to the wire and schedule the first arrival. */
@@ -134,11 +147,8 @@ class FlowClientPeer : public stats::Group
      */
     struct CFlow : PeerConn
     {
-        std::uint64_t targetBytes = 0; ///< bulk mode: bytes to send
+        std::uint64_t targetBytes = 0; ///< bytes to send
         std::uint64_t sent = 0;        ///< bytes appended so far
-        int exchangesDone = 0;         ///< rpc mode
-        bool requestOutstanding = false;
-        std::uint64_t respConsumed = 0;
 
         explicit CFlow(FlowClientPeer &owner);
 
@@ -148,7 +158,10 @@ class FlowClientPeer : public stats::Group
 
     sim::EventQueue &eq;
     Wire &wire;
-    FlowClientConfig cfg;
+    FlowMixConfig cfg;
+    TcpConfig tcp;
+    std::uint32_t serverAddr; ///< SUT side of every minted key
+    std::uint32_t clientAddr; ///< this box's side
     sim::Random rng;
     bool arrivalsEnabled = false;
     std::uint64_t launched = 0;  ///< flows actually started

@@ -1,7 +1,5 @@
 #include "src/net/nic.hh"
 
-#include <cmath>
-
 #include "src/net/fault_injector.hh"
 #include "src/net/steering.hh"
 #include "src/os/exec_context.hh"
@@ -187,9 +185,7 @@ Nic::xmitFrame(os::ExecContext &ctx, const Packet &pkt,
 
     // DMA pulls the payload and hands the frame to the wire; the
     // completion descriptor writes back after serialization.
-    const double bits = static_cast<double>(pkt.wireBytes()) * 8.0;
-    const auto ser_ticks = static_cast<sim::Tick>(std::ceil(
-        bits / wire.bitsPerSec() * kernel.config().freqHz));
+    const sim::Tick ser_ticks = Wire::serializationTicks(pkt);
     const sim::Tick start = kernel.now() + cfg.dmaDelayTicks;
 
     TxDmaEvent *dma_ev = txDmaEvents.acquire(*this);

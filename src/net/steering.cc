@@ -63,8 +63,6 @@ class StaticPaperPolicy final : public SteeringPolicy
     std::uint32_t
     taskAffinity(int conn) const override
     {
-        if (const std::uint32_t pin = explicitPinMask(conn))
-            return pin;
         return core::pinsProcs(mode) ? (1u << topo.paperCpu(conn))
                                      : 0xffffffffu;
     }
@@ -82,7 +80,6 @@ class RssPolicy : public SteeringPolicy
         : SteeringPolicy(config, topology)
     {
         // Standard equal-weight spray: entry e serves queue e % n.
-        indirection.resize(static_cast<std::size_t>(cfg.rssTableSize));
         for (std::size_t e = 0; e < indirection.size(); ++e)
             indirection[e] = static_cast<int>(e) % nQueues;
     }
@@ -109,9 +106,8 @@ class RssPolicy : public SteeringPolicy
     taskAffinity(int conn) const override
     {
         // RSS steers interrupts only; processes run where the
-        // scheduler puts them unless explicitly pinned.
-        if (const std::uint32_t pin = explicitPinMask(conn))
-            return pin;
+        // scheduler puts them.
+        (void)conn;
         return 0xffffffffu;
     }
 
@@ -120,13 +116,11 @@ class RssPolicy : public SteeringPolicy
     hashQueue(const FlowKey &flow) const
     {
         const std::uint32_t h = toeplitzHash(flow);
-        return indirection[h &
-                           (static_cast<std::uint32_t>(cfg.rssTableSize) -
-                            1u)];
+        return indirection[h & (indirection.size() - 1)];
     }
 
   private:
-    std::vector<int> indirection;
+    std::array<int, SteeringConfig::rssTableSize> indirection{};
 };
 
 /**

@@ -17,8 +17,8 @@
  *    /proc/irq/N/smp_affinity + sched_setaffinity setup. Results under
  *    this policy are bit-identical to the pre-steering code.
  *  - Rss: Toeplitz hash over the flow id into an indirection table of
- *    numQueues entries; one vector per queue, pinned round-robin (or
- *    per an explicit queue->CPU map); processes left to the scheduler.
+ *    numQueues entries; one vector per queue, queue q pinned to CPU
+ *    q % numCpus; processes left to the scheduler.
  *  - FlowDirector: exact-match flow table with learn-on-transmit and
  *    RSS hash fallback for unknown flows. Re-learning a migrated flow
  *    moves its RX queue — making reordering visible to TCP, the
@@ -33,7 +33,6 @@
 #include <functional>
 #include <memory>
 #include <string_view>
-#include <vector>
 
 #include "src/core/affinity.hh"
 #include "src/net/segment.hh"
@@ -71,22 +70,12 @@ struct SteeringConfig
     SteeringKind kind = SteeringKind::StaticPaper;
     /** RX queues per NIC (StaticPaper requires exactly 1). */
     int numQueues = 1;
-    /** RSS indirection table entries (power of two). */
-    int rssTableSize = 128;
+    /** RSS indirection table entries (the hash is masked by it). */
+    static constexpr int rssTableSize = 128;
+    static_assert((rssTableSize & (rssTableSize - 1)) == 0,
+                  "rssTableSize must be a power of two");
     /** Flow-Director exact-match table capacity. */
     int flowTableSize = 1024;
-    /**
-     * Explicit queue -> CPU map (size numQueues). Empty = round-robin
-     * queue q onto CPU q % numCpus. Every entry must name an installed
-     * CPU; core::SystemConfig::validate() rejects the rest.
-     */
-    std::vector<int> queueCpus;
-    /**
-     * Explicit per-connection process pins (conn i -> pinCpus[i % n]).
-     * Empty = the policy's default (paper block layout under
-     * StaticPaper, free-running otherwise).
-     */
-    std::vector<int> pinCpus;
 };
 
 /** What a policy needs to know about the machine it steers. */
@@ -171,24 +160,11 @@ class SteeringPolicy
                                   : (1u << topo.numCpus) - 1u;
     }
 
-    /** CPU that services queue @p q (explicit map or round-robin). */
+    /** CPU that services queue @p q: round-robin over the CPUs. */
     sim::CpuId
     queueCpu(int q) const
     {
-        if (!cfg.queueCpus.empty())
-            return static_cast<sim::CpuId>(
-                cfg.queueCpus[static_cast<std::size_t>(q)]);
         return static_cast<sim::CpuId>(q % topo.numCpus);
-    }
-
-    /** Explicit per-connection pin, or 0 when none configured. */
-    std::uint32_t
-    explicitPinMask(int conn) const
-    {
-        if (cfg.pinCpus.empty())
-            return 0;
-        return 1u << cfg.pinCpus[static_cast<std::size_t>(conn) %
-                                 cfg.pinCpus.size()];
     }
 
     SteeringConfig cfg;

@@ -196,7 +196,7 @@ TcpConnection::enterEstablished()
 sim::Tick
 TcpConnection::effectiveRto() const
 {
-    if (!cfg.adaptiveRto || srtt == 0)
+    if (srtt == 0)
         return cfg.rtoTicks;
     const sim::Tick est = srtt + 4 * rttvar;
     if (est < cfg.rtoTicks)
@@ -215,7 +215,7 @@ TcpConnection::armRto(sim::Tick now)
 void
 TcpConnection::maybeStartRttSample(std::uint64_t end_seq, sim::Tick now)
 {
-    if (!cfg.adaptiveRto || rttSampling)
+    if (rttSampling)
         return;
     rttSampling = true;
     rttSeq = end_seq;

@@ -43,15 +43,14 @@ struct TcpConfig
     std::uint32_t rcvWndBytes = 64 * 1024;
     bool nagle = true;
     std::uint32_t initialCwndSegs = 3;
-    /** Base/min retransmission timeout (ticks; 200 ms at 2 GHz). */
-    sim::Tick rtoTicks = 400'000'000;
     /**
-     * Jacobson/Karels adaptive RTO: srtt + 4*rttvar, clamped to
+     * Base/min retransmission timeout (ticks; 200 ms at 2 GHz). The
+     * RTO adapts as Jacobson/Karels srtt + 4*rttvar, clamped to
      * [rtoTicks, rtoMaxTicks], with Karn's rule (no samples from
-     * retransmitted segments). Off = fixed rtoTicks.
+     * retransmitted segments).
      */
-    bool adaptiveRto = true;
-    sim::Tick rtoMaxTicks = 240'000'000'000; ///< 120 s
+    sim::Tick rtoTicks = 400'000'000;
+    static constexpr sim::Tick rtoMaxTicks = 240'000'000'000; ///< 120 s
     /**
      * NIC checksum offload (paper Background: checksum offloads were
      * the era's standard incremental win). When off, payload copies
@@ -63,7 +62,7 @@ struct TcpConfig
      * data re-opens the advertised window by at least this fraction of
      * rcvWndBytes (mirrors tcp_select_window behaviour).
      */
-    double wndUpdateFrac = 0.25;
+    static constexpr double wndUpdateFrac = 0.25;
 };
 
 /** Connection state (RFC 793 subset). */

@@ -1,7 +1,5 @@
 #include "src/net/wire.hh"
 
-#include <cmath>
-
 #include "src/net/fault_injector.hh"
 #include "src/sim/logging.hh"
 
@@ -23,8 +21,7 @@ Wire::DeliverEvent::process()
 }
 
 Wire::Wire(stats::Group *parent, const std::string &name,
-           sim::EventQueue &eq_ref, double freq_hz, double bits_per_sec,
-           sim::Tick latency_ticks)
+           sim::EventQueue &eq_ref)
     : stats::Group(parent, name),
       pktsAtoB(this, "pkts_a_to_b", "packets SUT -> peer"),
       pktsBtoA(this, "pkts_b_to_a", "packets peer -> SUT"),
@@ -34,8 +31,7 @@ Wire::Wire(stats::Group *parent, const std::string &name,
                  "packets dropped by injected loss, SUT -> peer"),
       lossesBtoA(this, "losses_b_to_a",
                  "packets dropped by injected loss, peer -> SUT"),
-      eq(eq_ref), freqHz(freq_hz), rate(bits_per_sec),
-      latency(latency_ticks), deliveries(eq_ref)
+      eq(eq_ref), deliveries(eq_ref)
 {
 }
 
@@ -53,9 +49,7 @@ Wire::send(const Packet &pkt, bool from_a)
         }
     }
 
-    const double bits = static_cast<double>(pkt.wireBytes()) * 8.0;
-    const auto ser_ticks =
-        static_cast<sim::Tick>(std::ceil(bits / rate * freqHz));
+    const sim::Tick ser_ticks = serializationTicks(pkt);
 
     sim::Tick &busy = from_a ? busyUntilAB : busyUntilBA;
     const sim::Tick start = busy > now ? busy : now;
@@ -74,7 +68,7 @@ Wire::send(const Packet &pkt, bool from_a)
     if (!cb)
         sim::panic("wire %s: no receiver attached", groupName().c_str());
 
-    const sim::Tick when = done + latency + fd.extraDelayTicks;
+    const sim::Tick when = done + latencyTicks + fd.extraDelayTicks;
 
     DeliverEvent *ev = deliveries.acquire(*this);
     ev->pkt = pkt;

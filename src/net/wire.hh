@@ -2,18 +2,20 @@
  * @file
  * A full-duplex point-to-point gigabit link.
  *
- * Models per-direction serialization at the configured line rate plus
- * propagation latency. The wire itself is lossless: drops, corruption,
- * duplication and reordering come only from an installed FaultInjector
- * (see sim::FaultPlan).
+ * Models per-direction serialization at the line rate plus propagation
+ * latency, both constants of the modelled testbed. The wire itself is
+ * lossless: drops, corruption, duplication and reordering come only
+ * from an installed FaultInjector (see sim::FaultPlan).
  */
 
 #ifndef NETAFFINITY_NET_WIRE_HH
 #define NETAFFINITY_NET_WIRE_HH
 
+#include <cmath>
 #include <functional>
 #include <string>
 
+#include "src/cpu/platform_config.hh"
 #include "src/net/segment.hh"
 #include "src/sim/event_pool.hh"
 #include "src/sim/event_queue.hh"
@@ -30,14 +32,22 @@ class Wire : public stats::Group
   public:
     using Deliver = std::function<void(const Packet &)>;
 
-    /**
-     * @param bits_per_sec line rate (default 1 GbE)
-     * @param latency_ticks propagation + switch latency
-     * @param freq_hz tick frequency (to convert byte times to ticks)
-     */
+    /** Line rate: gigabit Ethernet. */
+    static constexpr double bitsPerSec = 1.0e9;
+    /** Propagation + switch latency, in ticks of the platform clock. */
+    static constexpr sim::Tick latencyTicks = 10'000; ///< 5 us
+
     Wire(stats::Group *parent, const std::string &name,
-         sim::EventQueue &eq, double freq_hz,
-         double bits_per_sec = 1.0e9, sim::Tick latency_ticks = 10000);
+         sim::EventQueue &eq);
+
+    /** @return ticks to clock @p pkt onto the line. */
+    static sim::Tick
+    serializationTicks(const Packet &pkt)
+    {
+        const double bits = static_cast<double>(pkt.wireBytes()) * 8.0;
+        return static_cast<sim::Tick>(
+            std::ceil(bits / bitsPerSec * cpu::PlatformConfig::freqHz));
+    }
 
     /** Attach side A's (SUT's) receive callback. */
     void attachA(Deliver cb) { deliverA = std::move(cb); }
@@ -56,8 +66,6 @@ class Wire : public stats::Group
      * the default — the fault path is one untaken branch).
      */
     void setFaultInjector(FaultInjector *fi) { faults = fi; }
-
-    double bitsPerSec() const { return rate; }
 
     stats::Scalar pktsAtoB;
     stats::Scalar pktsBtoA;
@@ -89,9 +97,6 @@ class Wire : public stats::Group
     };
 
     sim::EventQueue &eq;
-    double freqHz;
-    double rate;
-    sim::Tick latency;
     FaultInjector *faults = nullptr;
     Deliver deliverA;
     Deliver deliverB;

@@ -10,22 +10,15 @@ namespace na::workload {
 
 FlowMixApp::FlowMixApp(stats::Group *parent, const std::string &name,
                        os::Kernel &kernel_ref, net::Driver &driver_ref,
-                       net::Socket &listener_ref,
-                       const FlowMixConfig &config)
+                       net::Socket &listener_ref)
     : stats::Group(parent, name),
       accepted(this, "accepted", "children popped via accept()"),
       retired(this, "retired", "children fully closed and recycled"),
       appBytesRead(this, "bytes_read", "payload bytes read from children"),
-      appBytesSent(this, "bytes_sent", "RPC response bytes accepted"),
-      responses(this, "responses", "RPC responses queued"),
-      syscalls(this, "syscalls", "accept/read/write syscalls issued"),
+      syscalls(this, "syscalls", "accept/read syscalls issued"),
       kernel(kernel_ref), driver(driver_ref), listener(listener_ref),
-      cfg(config),
       readBuf(kernel_ref.addressSpace().alloc(mem::Region::UserData,
-                                              config.readChunk)),
-      respBuf(kernel_ref.addressSpace().alloc(
-          mem::Region::UserData,
-          config.rpc ? config.rpcResponseBytes : 64))
+                                              FlowMixConfig::readChunk))
 {
     listener.setNonBlocking(true);
     listener.setWakeHook(
@@ -99,42 +92,11 @@ FlowMixApp::serviceChild(os::ExecContext &ctx, net::Socket &child)
     ChildState &st = children[&child];
     ctx.charge(prof::FuncId::TtcpLoop, 50, {});
 
-    // Flush any response bytes an earlier round could not fit into the
-    // send buffer; the ACK that opens space re-queues the child.
-    if (st.respPending) {
-        ctx.charge(prof::FuncId::SysWrite, 350, {});
-        ++syscalls;
-        const std::uint32_t n =
-            child.send(ctx, respBuf, st.respPending);
-        st.respPending -= n;
-        appBytesSent += n;
-        if (st.respPending)
-            return;
-    }
-
     ctx.charge(prof::FuncId::SysRead, 350, {});
     ++syscalls;
-    const int r = child.recv(ctx, readBuf, cfg.readChunk);
+    const int r = child.recv(ctx, readBuf, FlowMixConfig::readChunk);
     if (r > 0) {
         appBytesRead += r;
-        st.consumed += static_cast<std::uint64_t>(r);
-        if (cfg.rpc) {
-            const std::uint64_t full_reqs =
-                st.consumed / cfg.rpcRequestBytes;
-            while (st.respQueued < full_reqs) {
-                st.respPending += cfg.rpcResponseBytes;
-                ++st.respQueued;
-                ++responses;
-            }
-            if (st.respPending) {
-                ctx.charge(prof::FuncId::SysWrite, 350, {});
-                ++syscalls;
-                const std::uint32_t n =
-                    child.send(ctx, respBuf, st.respPending);
-                st.respPending -= n;
-                appBytesSent += n;
-            }
-        }
         // More data may remain buffered; service again next step.
         markReady(&child);
         return;

@@ -1,15 +1,15 @@
 /**
  * @file
- * The many-flow server process: an event-driven accept/read/respond
+ * The many-flow server process: an event-driven accept/read/close
  * loop over one listener socket (think a single-threaded epoll server).
  *
  * Where TtcpApp owns one pre-established connection, FlowMixApp owns a
  * *listener* and services whatever population of child sockets the
  * driver accepts into it: it drains the accept queue (charged
  * sys_accept work), reads each readable child (charged sys_read +
- * copy_to_user work), optionally answers fixed-size RPC requests, and
- * retires children once both directions close — returning the socket
- * to the driver's pool and its ConnectionMap entry to the free list.
+ * copy_to_user work), and retires children once both directions
+ * close — returning the socket to the driver's pool and its
+ * ConnectionMap entry to the free list.
  *
  * Readiness is event-driven via Socket wake hooks, so the task never
  * scans the population: cost per step is O(sockets serviced).
@@ -52,7 +52,7 @@ class FlowMixApp : public os::TaskLogic, public stats::Group
      */
     FlowMixApp(stats::Group *parent, const std::string &name,
                os::Kernel &kernel, net::Driver &driver,
-               net::Socket &listener, const FlowMixConfig &config);
+               net::Socket &listener);
 
     os::StepStatus step(os::ExecContext &ctx) override;
 
@@ -72,26 +72,19 @@ class FlowMixApp : public os::TaskLogic, public stats::Group
     stats::Scalar accepted;     ///< children popped via accept()
     stats::Scalar retired;      ///< children fully closed + recycled
     stats::Scalar appBytesRead; ///< payload bytes read from children
-    stats::Scalar appBytesSent; ///< RPC response bytes accepted
-    stats::Scalar responses;    ///< RPC responses queued
-    stats::Scalar syscalls;     ///< accept/read/write syscalls issued
+    stats::Scalar syscalls;     ///< accept/read syscalls issued
 
   private:
     /** Per-child application state. */
     struct ChildState
     {
-        std::uint64_t consumed = 0;    ///< request bytes read so far
-        std::uint64_t respQueued = 0;  ///< responses queued (rpc)
-        std::uint32_t respPending = 0; ///< response bytes not yet sent
         bool closedByUs = false;
     };
 
     os::Kernel &kernel;
     net::Driver &driver;
     net::Socket &listener;
-    FlowMixConfig cfg;
     sim::Addr readBuf;
-    sim::Addr respBuf;
 
     os::WaitQueue readyWq; ///< the app task parks here when idle
     std::deque<net::Socket *> ready;
@@ -107,7 +100,7 @@ class FlowMixApp : public os::TaskLogic, public stats::Group
     /** Pop + service children from the listener's accept queue. */
     bool drainAcceptQueue(os::ExecContext &ctx);
 
-    /** One read/respond round on a ready child. */
+    /** One read round on a ready child. */
     void serviceChild(os::ExecContext &ctx, net::Socket &child);
 
     /** Recycle a fully-closed child. */

@@ -42,11 +42,6 @@ specLabel(const Spec &spec)
             ? sim::format(",hop=%llu",
                           (unsigned long long)mix.senderHopTicks)
             : "";
-    if (mix.rpc) {
-        return sim::format(" wl:mix(rpc=%ux%u,n=%d%s)",
-                           mix.rpcRequestBytes, mix.rpcResponseBytes,
-                           mix.maxConcurrentFlows, hop.c_str());
-    }
     return sim::format(" wl:mix(z=%g,n=%d%s)", mix.flowSizeShape,
                        mix.maxConcurrentFlows, hop.c_str());
 }
@@ -87,21 +82,6 @@ validateSpec(const Spec &spec)
     if (mix.listenBacklog <= 0) {
         throw std::runtime_error(
             "SystemConfig: mix.listenBacklog must be > 0");
-    }
-    if (mix.readChunk == 0) {
-        throw std::runtime_error(
-            "SystemConfig: mix.readChunk must be nonzero");
-    }
-    if (mix.rpc) {
-        if (mix.rpcRequestBytes == 0 || mix.rpcResponseBytes == 0) {
-            throw std::runtime_error(
-                "SystemConfig: mix rpc request/response bytes must be "
-                "nonzero");
-        }
-        if (mix.rpcExchangesPerFlow <= 0) {
-            throw std::runtime_error(
-                "SystemConfig: mix.rpcExchangesPerFlow must be > 0");
-        }
     }
 }
 

@@ -18,51 +18,13 @@
 #include <string_view>
 #include <variant>
 
+#include "src/net/flow_client.hh"
 #include "src/workload/ttcp.hh"
 
 namespace na::workload {
 
-/** Many-flow churn workload parameters (per connection/NIC). */
-struct FlowMixConfig
-{
-    /** Client-side concurrency cap; arrivals beyond it defer. */
-    int maxConcurrentFlows = 64;
-    /** Total flows to generate per NIC (0 = unbounded). */
-    std::uint64_t totalFlows = 0;
-
-    /** Bounded-Pareto flow sizes (client payload per flow). */
-    std::uint32_t flowSizeMin = 2048;
-    std::uint32_t flowSizeMax = 1 << 20;
-    double flowSizeShape = 1.2; ///< tail index alpha
-
-    /** Mean exponential flow interarrival, in ticks. */
-    double meanInterarrivalTicks = 200'000;
-    /** Flows per arrival event (> 1 models connect storms). */
-    int stormSize = 1;
-
-    /** RPC mode: fixed request/response exchanges per flow. */
-    bool rpc = false;
-    std::uint32_t rpcRequestBytes = 128;
-    std::uint32_t rpcResponseBytes = 4096;
-    int rpcExchangesPerFlow = 1;
-
-    /** Server-side listen/accept plane. */
-    std::uint16_t listenPort = 5001;
-    int listenBacklog = 128;
-    /** Bytes per server read() call. */
-    std::uint32_t readChunk = 16 * 1024;
-
-    /**
-     * Scheduler-induced migration driver: every senderHopTicks the
-     * system re-pins each server task to the next CPU (round-robin),
-     * forcing its transmissions onto a new core mid-flow. Under Flow
-     * Director every hop re-steers the live flows' RX queue — the
-     * controlled reordering source bench/ext_reorder sweeps. 0 (the
-     * default) disables hopping; nothing else in the run changes, so
-     * default-config results stay bit-identical.
-     */
-    std::uint64_t senderHopTicks = 0;
-};
+/** The churn mix; it lives in net:: because the client peer reads it. */
+using FlowMixConfig = net::FlowMixConfig;
 
 /** Discriminator for Spec (stable tokens in results_json v5). */
 enum class Kind

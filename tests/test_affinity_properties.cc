@@ -142,8 +142,7 @@ TEST(AffinityProperty, RotationNeverLeavesProvisionedMask)
     cfg.affinity = AffinityMode::None;
     cfg.irqRotationTicks = 500'000;
     cfg.steering.kind = net::SteeringKind::Rss;
-    cfg.steering.numQueues = 2;
-    cfg.steering.queueCpus = {1, 3}; // deliberately not CPU0
+    cfg.steering.numQueues = 2; // queue 1's vector: CPU 1, not CPU0
 
     System sys(cfg);
     sys.runFor(2'000'000); // let traffic and rotation epochs start

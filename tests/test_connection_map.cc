@@ -258,27 +258,4 @@ TEST(FlowChurn, ArrivalsBeyondCapAreDeferredNotLost)
     EXPECT_EQ(client.flowsCompletedCount(), client.flowsLaunched());
 }
 
-// RPC-mode flows complete their configured exchanges and the mix app
-// sends the responses.
-TEST(FlowChurn, RpcModeExchangesRequestsAndResponses)
-{
-    core::SystemConfig cfg = mixConfig();
-    cfg.mix().rpc = true;
-    cfg.mix().rpcRequestBytes = 256;
-    cfg.mix().rpcResponseBytes = 2048;
-    cfg.mix().rpcExchangesPerFlow = 3;
-    core::System sys(cfg);
-    ASSERT_TRUE(sys.establishAll(1'000'000));
-    sys.runFor(40'000'000);
-    net::FlowClientPeer &client = sys.flowPeer(0);
-    client.stopArrivals();
-    sys.runFor(400'000'000);
-    EXPECT_EQ(client.liveFlows(), 0u);
-    EXPECT_GT(client.flowsCompletedCount(), 0u);
-    // Every completed flow pushed exactly 3 requests of 256 bytes.
-    EXPECT_EQ(sys.mixApp(0).bytesReceived(),
-              client.flowsCompletedCount() * 3u * 256u);
-    EXPECT_GT(sys.mixApp(0).responses.value(), 0.0);
-}
-
 } // namespace

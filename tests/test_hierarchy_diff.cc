@@ -439,8 +439,10 @@ TEST_P(HierarchyVsReference, RandomStreamAgrees)
     std::vector<std::unique_ptr<CacheHierarchy>> real;
     RefDomain ref(geom.lineBytes);
     for (int c = 0; c < ncpus; ++c) {
+        std::string name = "h";
+        name += std::to_string(c); // not "h" + ...: g++ 12 -Wrestrict
         real.push_back(std::make_unique<CacheHierarchy>(
-            &root, "h" + std::to_string(c), c, geom, domain));
+            &root, name, c, geom, domain));
         ref.cpus.push_back(std::make_unique<RefHierarchy>(c, geom, ref));
     }
 

@@ -266,7 +266,7 @@ TEST(NetStack, CloseDrainsDataThenFins)
     os::Kernel kernel(&root, eq, cpu::PlatformConfig{});
     net::SkbPool pool(&root, kernel, 1024);
     net::Driver driver(&root, kernel, pool);
-    net::Wire wire(&root, "wire", eq, 2.0e9, 1.0e9, 10'000);
+    net::Wire wire(&root, "wire", eq);
     net::Nic nic(&root, "nic", 0, kernel, pool, wire);
     driver.attachNic(nic);
     net::Socket socket(&root, "sock", kernel, driver, pool,

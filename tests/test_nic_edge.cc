@@ -143,34 +143,3 @@ TEST(ExperimentApi, UtilizationNeverExceedsOne)
 }
 
 } // namespace
-
-namespace {
-
-TEST(ExperimentApi, ConvergenceModeExtendsUntilStable)
-{
-    SystemConfig cfg;
-    cfg.numConnections = 2;
-    cfg.ttcp().msgSize = 8192;
-
-    // Fixed single short window...
-    System fixed(cfg);
-    RunSchedule one;
-    one.warmup = 10'000'000;
-    one.measure = 10'000'000;
-    const RunResult rf = Experiment::measure(fixed, one);
-
-    // ...versus convergence over up to 8 such windows.
-    System conv(cfg);
-    RunSchedule many = one;
-    many.maxWindows = 8;
-    many.convergeTolerance = 0.01;
-    const RunResult rc = Experiment::measure(conv, many);
-
-    EXPECT_GT(rc.seconds, rf.seconds);
-    EXPECT_LE(rc.seconds, 8 * rf.seconds + 1e-9);
-    // Both estimate the same steady-state rate, converged tighter.
-    EXPECT_NEAR(rc.throughputMbps, rf.throughputMbps,
-                rf.throughputMbps * 0.15);
-}
-
-} // namespace

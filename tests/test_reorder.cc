@@ -98,7 +98,7 @@ class SocketRigTest : public ::testing::Test
         : kernel(&root, eq, cpu::PlatformConfig{}),
           pool(&root, kernel, 1024),
           driver(&root, kernel, pool),
-          wire(&root, "wire", eq, 2.0e9, 1.0e9, 10'000),
+          wire(&root, "wire", eq),
           nic(&root, "nic", 0, kernel, pool, wire),
           socket(&root, "sock", kernel, driver, pool, connFlowKey(0)),
           ctx(kernel, kernel.processor(0), nullptr),

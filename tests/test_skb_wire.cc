@@ -137,7 +137,7 @@ class WireTest : public ::testing::Test
 {
   protected:
     WireTest()
-        : wire(&root, "w", eq, 2.0e9, 1.0e9, /*latency=*/1000)
+        : wire(&root, "w", eq)
     {
         wire.attachA([this](const Packet &p) { atA.push_back(p); });
         wire.attachB([this](const Packet &p) { atB.push_back(p); });
@@ -164,9 +164,10 @@ TEST_F(WireTest, DeliversWithSerializationPlusLatency)
     wire.sendFromA(mkPkt(1448));
     // (1448+90)*8 bits at 1 Gb/s on a 2 GHz clock = 24608 ticks.
     const sim::Tick ser = (1448 + 90) * 8 * 2;
-    eq.runUntil(ser + 999);
+    EXPECT_EQ(Wire::serializationTicks(mkPkt(1448)), ser);
+    eq.runUntil(ser + Wire::latencyTicks - 1);
     EXPECT_TRUE(atB.empty());
-    eq.runUntil(ser + 1000);
+    eq.runUntil(ser + Wire::latencyTicks);
     ASSERT_EQ(atB.size(), 1u);
     EXPECT_EQ(atB[0].seg.len, 1448u);
 }
@@ -176,9 +177,9 @@ TEST_F(WireTest, BackToBackSendsSerialize)
     wire.sendFromA(mkPkt(1448));
     wire.sendFromA(mkPkt(1448));
     const sim::Tick ser = (1448 + 90) * 8 * 2;
-    eq.runUntil(ser + 1000);
+    eq.runUntil(ser + Wire::latencyTicks);
     EXPECT_EQ(atB.size(), 1u);
-    eq.runUntil(2 * ser + 1000);
+    eq.runUntil(2 * ser + Wire::latencyTicks);
     EXPECT_EQ(atB.size(), 2u);
 }
 
@@ -187,7 +188,7 @@ TEST_F(WireTest, DirectionsAreIndependent)
     wire.sendFromA(mkPkt(1448));
     wire.sendFromB(mkPkt(1448));
     const sim::Tick ser = (1448 + 90) * 8 * 2;
-    eq.runUntil(ser + 1000);
+    eq.runUntil(ser + Wire::latencyTicks);
     EXPECT_EQ(atA.size(), 1u);
     EXPECT_EQ(atB.size(), 1u);
     EXPECT_EQ(wire.pktsAtoB.value(), 1.0);
@@ -219,7 +220,7 @@ TEST(WireDeath, SendWithoutReceiverPanics)
 {
     stats::Group root(nullptr, "");
     sim::EventQueue eq;
-    Wire w(&root, "w", eq, 2.0e9);
+    Wire w(&root, "w", eq);
     Packet p;
     p.seg.len = 1;
     EXPECT_DEATH(w.sendFromA(p), "no receiver");

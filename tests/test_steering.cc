@@ -315,21 +315,6 @@ TEST(SteeringRss, HashesFlowsAcrossQueuesAndSpreadsVectors)
     EXPECT_EQ(policy->stats().flowLearns, 0u);
 }
 
-TEST(SteeringRss, HonoursExplicitQueueAndPinMaps)
-{
-    net::SteeringConfig cfg;
-    cfg.kind = net::SteeringKind::Rss;
-    cfg.numQueues = 2;
-    cfg.queueCpus = {3, 1};
-    cfg.pinCpus = {2};
-    auto policy = net::makeSteeringPolicy(
-        cfg, core::AffinityMode::None, topo4());
-    EXPECT_EQ(policy->vectorAffinity(0, 0), 1u << 3);
-    EXPECT_EQ(policy->vectorAffinity(0, 1), 1u << 1);
-    EXPECT_EQ(policy->taskAffinity(0), 1u << 2);
-    EXPECT_EQ(policy->taskAffinity(7), 1u << 2);
-}
-
 TEST(SteeringFlowDirector, LearnsMatchesAndMigrates)
 {
     net::SteeringConfig cfg;

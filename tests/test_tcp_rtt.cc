@@ -130,22 +130,6 @@ TEST(TcpRtt, KarnRuleSkipsRetransmittedSamples)
     EXPECT_EQ(a.ackedBytes(), 1448u);
 }
 
-TEST(TcpRtt, DisabledAdaptiveRtoStaysFixed)
-{
-    TcpConfig cfg;
-    cfg.adaptiveRto = false;
-    TcpConnection a(cfg);
-    TcpConnection b(cfg);
-    establish(a, b, 0);
-    sim::Tick now = 0;
-    for (int i = 0; i < 10; ++i) {
-        now += 1'000'000'000;
-        exchange(a, b, now, now + 900'000'000); // enormous RTT
-    }
-    EXPECT_EQ(a.srttTicks(), 0u);
-    EXPECT_EQ(a.effectiveRto(), cfg.rtoTicks);
-}
-
 TEST(TcpRtt, BackoffMultipliesEffectiveRto)
 {
     TcpConfig cfg;

@@ -30,7 +30,7 @@ struct Rig
         const net::TcpConfig &tcp = net::TcpConfig{})
         : root(nullptr, ""), kernel(&root, eq, cpu::PlatformConfig{}),
           pool(&root, kernel, 1024), driver(&root, kernel, pool),
-          wire(&root, "wire", eq, 2.0e9, 1.0e9, 10'000),
+          wire(&root, "wire", eq),
           nic(&root, "nic", 0, kernel, pool, wire),
           socket(&root, "sock", kernel, driver, pool, net::connFlowKey(0),
                  tcp)
