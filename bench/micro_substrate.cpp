@@ -95,7 +95,8 @@ BENCHMARK(BM_CacheFindOrInsert);
 /**
  * Remote-write snoops against a hierarchy whose caches mostly do NOT
  * hold the line — the dominant coherence pattern in the paper sweeps.
- * Exercises the inclusion short-circuit: an L3 miss ends the snoop.
+ * The snooped region shares no filter slot with the warm set, so the
+ * snoop filter ends every snoop before any set is scanned.
  */
 void
 BM_SnoopInvalidateAbsent(benchmark::State &state)

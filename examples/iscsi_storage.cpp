@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/core/affinity.hh"
+#include "src/cpu/platform_config.hh"
 #include "src/net/driver.hh"
 #include "src/net/nic.hh"
 #include "src/net/peer.hh"
@@ -135,7 +136,7 @@ run(bool full_affinity)
     }
     ops -= ops0;
     const double secs =
-        sim::ticksToSeconds(rig.eq.now() - t0, 2.0e9);
+        sim::ticksToSeconds(rig.eq.now() - t0, cpu::PlatformConfig::freqHz);
     rig.kernel.finalizeIdle(rig.eq.now());
     double busy = -busy0;
     for (int c = 0; c < 2; ++c)

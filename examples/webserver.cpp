@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/core/affinity.hh"
+#include "src/cpu/platform_config.hh"
 #include "src/net/driver.hh"
 #include "src/net/nic.hh"
 #include "src/net/peer.hh"
@@ -113,7 +114,8 @@ run(core::AffinityMode mode)
         bytes += a->bytesServed.value();
     }
     reqs -= req0;
-    const double secs = sim::ticksToSeconds(rig.eq.now() - t0, 2.0e9);
+    const double secs =
+        sim::ticksToSeconds(rig.eq.now() - t0, cpu::PlatformConfig::freqHz);
     // Served Mb/s is the comparable figure; raw req/s shifts with the
     // template mix (small-template workers complete more requests when
     // scheduling is unfair).

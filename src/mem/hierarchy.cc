@@ -1,6 +1,7 @@
 #include "src/mem/hierarchy.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "src/sim/logging.hh"
 
@@ -20,6 +21,22 @@ CacheHierarchy::CacheHierarchy(stats::Group *parent,
                           "lines invalidated by remote writers/DMA"),
       cpu(cpu_id), domain(snoop_domain)
 {
+    // Lines that share a filter slot agree on address bits 9-22. If L3's
+    // set index lies within bits 0-22, those lines fall in at most
+    // max(1, 512 / lineBytes) sets, so a slot counts at most that many
+    // sets' ways and a uint8_t count cannot wrap.
+    const std::uint64_t set_span = std::uint64_t{l3.sets()} * l3.lineBytes();
+    if (set_span > (std::uint64_t{regionSlots} << regionShift))
+        sim::fatal("L3 set index spans %llu bytes, beyond the snoop "
+                   "filter's %llu",
+                   (unsigned long long)set_span,
+                   (unsigned long long)(regionSlots << regionShift));
+    const std::uint64_t max_lines =
+        std::uint64_t{l3.associativity()} *
+        std::max(1u, (1u << regionShift) / l3.lineBytes());
+    if (max_lines > std::numeric_limits<std::uint8_t>::max())
+        sim::fatal("snoop filter slot may count %llu L3 lines, over 255",
+                   (unsigned long long)max_lines);
     domain.addHierarchy(this);
 }
 
@@ -53,7 +70,7 @@ CacheHierarchy::upgradeLine(sim::Addr line_addr)
 LineState
 CacheHierarchy::probeLine(sim::Addr addr) const
 {
-    return l3.probe(addr);
+    return mayHold(addr) ? l3.probe(addr) : LineState::Invalid;
 }
 
 bool
@@ -70,10 +87,14 @@ CacheHierarchy::snoopInvalidate(sim::Addr addr)
     // Inclusion: a line absent from L3 is absent everywhere, and one
     // absent from L2 is absent from L1, so each level is visited only if
     // the next outer one held the line. Invalidating an absent line
-    // bumps no counter, so the skipped visits are only saved work.
+    // bumps no counter, so the skipped visits are only saved work. The
+    // filter skips L3 too when no line of the slot is valid there.
+    if (!mayHold(addr))
+        return LineState::Invalid;
     const LineState p3 = l3.invalidate(addr);
     if (p3 == LineState::Invalid)
         return LineState::Invalid;
+    --regionLines[slotOf(addr)];
     ++linesStolenByRemote;
     return std::max(p3, invalidateInner(addr));
 }

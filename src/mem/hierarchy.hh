@@ -13,6 +13,7 @@
 #define NETAFFINITY_MEM_HIERARCHY_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -136,6 +137,17 @@ class CacheHierarchy : public stats::Group
     /** @return coherence state of a line in this hierarchy (probe L3). */
     LineState probeLine(sim::Addr addr) const;
 
+    /**
+     * Snoop filter: @return false only if no valid L3 line lies in a
+     * region that shares @p addr's slot, so by inclusion the line is in
+     * no level here. True means "probe the sets to find out".
+     */
+    bool
+    mayHold(sim::Addr addr) const
+    {
+        return regionLines[slotOf(addr)] != 0;
+    }
+
     /** @return true if the line is present anywhere in this hierarchy. */
     bool present(sim::Addr addr) const;
 
@@ -159,8 +171,28 @@ class CacheHierarchy : public stats::Group
     /** @} */
 
   private:
+    /** The filter counts lines per 512-byte region... */
+    static constexpr unsigned regionShift = 9;
+    /** ...in 16384 slots, so the index spans address bits 9-22 (8 MiB). */
+    static constexpr std::size_t regionSlots = 16384;
+
+    static std::size_t
+    slotOf(sim::Addr addr)
+    {
+        return static_cast<std::size_t>(addr >> regionShift) &
+               (regionSlots - 1);
+    }
+
     sim::CpuId cpu;
     SnoopDomain &domain;
+
+    /**
+     * Valid L3 lines per filter slot. Only the two places where L3
+     * validity changes move a count: a full miss in accessInto (fill,
+     * and its valid victim) and a snoopInvalidate that finds the line.
+     * The constructor proves no count can exceed 255.
+     */
+    std::array<std::uint8_t, regionSlots> regionLines{};
 
     /**
      * Fill a line absent from L2 (and so from L1) into L2 and L1; L3
@@ -326,8 +358,11 @@ CacheHierarchy::accessInto(sim::Addr addr, std::uint32_t bytes, bool write,
         // Full local miss: back-invalidate the L3 victim to preserve
         // inclusion, snoop the other CPUs, then fill the inner levels.
         ++res.llcMisses;
-        if (r3.victim.valid)
+        if (r3.victim.valid) {
+            --regionLines[slotOf(r3.victim.lineAddr)];
             invalidateInner(r3.victim.lineAddr);
+        }
+        ++regionLines[slotOf(la)];
         LineState remote;
         if (write) {
             remote = domain.snoopWrite(cpu, la, res.stolenFrom);

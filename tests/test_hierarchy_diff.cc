@@ -5,7 +5,8 @@
  * an insert, every snoop and DMA visiting every level of every CPU), on
  * seeded random streams of CPU accesses, DMA transfers, and uncached
  * accesses. After every operation each AccessResult/DmaResult
- * field and every per-level and per-hierarchy counter must agree.
+ * field and every per-level and per-hierarchy counter must agree, and
+ * the snoop filter must pass every line the reference L3 holds.
  */
 
 #include <gtest/gtest.h>
@@ -499,6 +500,13 @@ TEST_P(HierarchyVsReference, RandomStreamAgrees)
             EXPECT_EQ(h.l1.probe(la), r.l1.probe(la)) << "op " << op;
             EXPECT_EQ(h.l2.probe(la), r.l2.probe(la)) << "op " << op;
             EXPECT_EQ(h.l3.probe(la), r.l3.probe(la)) << "op " << op;
+            // The snoop filter may only skip lines L3 does not hold.
+            for (sim::Addr l = la; l < addr + bytes; l += geom.lineBytes) {
+                if (r.l3.probe(l) != LineState::Invalid) {
+                    EXPECT_TRUE(h.mayHold(l))
+                        << "cpu " << c << " line " << l << " op " << op;
+                }
+            }
         }
         if (HasFailure())
             FAIL() << "first divergence at op " << op << " (seed "
@@ -518,5 +526,71 @@ INSTANTIATE_TEST_SUITE_P(
                (std::get<1>(info.param) ? "_dmaReadInv" : "_noDma") +
                "_seed" + std::to_string(std::get<2>(info.param));
     });
+
+// A DMA over every cached window invalidates every line, so each filter
+// count must fall back to zero. A lost decrement is not a wrong result
+// (the probe still finds nothing) but a filter that stops filtering.
+TEST(HierarchyFilter, DmaOverEveryWindowDrainsIt)
+{
+    const CacheGeometry geom = smallGeom();
+    const sim::Addr windows[] = {
+        0, AddressAllocator::regionBase(Region::SkbSlab)};
+    // Random spans start anywhere in a window and run up to 64 lines.
+    const std::uint64_t window_bytes = (1024 + 64) * geom.lineBytes;
+    for (int ncpus : {2, 4}) {
+        stats::Group root(nullptr, "");
+        SnoopDomain domain;
+        std::vector<std::unique_ptr<CacheHierarchy>> cpus;
+        for (int c = 0; c < ncpus; ++c) {
+            std::string name = "h";
+            name += std::to_string(c);
+            cpus.push_back(std::make_unique<CacheHierarchy>(
+                &root, name, c, geom, domain));
+        }
+        sim::Random rng(static_cast<std::uint64_t>(ncpus));
+        for (int op = 0; op < 4000; ++op) {
+            const sim::Addr addr = windows[rng.range(0, 1)] +
+                                   rng.range(0, 1024 * geom.lineBytes);
+            const auto bytes = static_cast<std::uint32_t>(
+                rng.range(1, 64) * geom.lineBytes);
+            const int cpu = static_cast<int>(rng.range(0, ncpus - 1));
+            cpus[cpu]->access(addr, bytes, rng.chance(0.4));
+        }
+
+        std::uint32_t stolen = 0;
+        for (sim::Addr base : windows) {
+            for (std::uint32_t n : domain.dma(base, window_bytes).stolenFrom)
+                stolen += n;
+        }
+        EXPECT_GT(stolen, 0u) << ncpus << " cpus";
+        for (const auto &h : cpus) {
+            EXPECT_EQ(h->l3.validLines(), 0u);
+            for (sim::Addr base : windows) {
+                for (sim::Addr la = base; la < base + window_bytes;
+                     la += geom.lineBytes)
+                    ASSERT_FALSE(h->mayHold(la))
+                        << "cpu " << h->cpuId() << " of " << ncpus
+                        << " line " << la;
+            }
+        }
+    }
+}
+
+// The filter's uint8_t counts are exact only if at most 255 L3 lines
+// can share a slot; a geometry that breaks that is refused.
+TEST(HierarchyDeath, FilterGeometryBeyondBoundIsFatal)
+{
+    stats::Group root(nullptr, "");
+    SnoopDomain domain;
+    CacheGeometry wide; // 262144 sets: the set index reaches bit 23
+    wide.l3Size = 16 * 1024 * 1024;
+    wide.l3Assoc = 1;
+    EXPECT_EXIT(CacheHierarchy(&root, "h0", 0, wide, domain),
+                ::testing::ExitedWithCode(1), "beyond the snoop filter");
+    CacheGeometry deep; // 32 ways x 8 lines per region = 256 per slot
+    deep.l3Assoc = 32;
+    EXPECT_EXIT(CacheHierarchy(&root, "h0", 0, deep, domain),
+                ::testing::ExitedWithCode(1), "over 255");
+}
 
 } // namespace

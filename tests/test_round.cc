@@ -1,7 +1,8 @@
 /**
  * @file
  * The libm-free rounding helpers agree with std::floor and std::llround
- * on the non-negative doubles the charge path rounds.
+ * on the non-negative doubles the charge path rounds, and the build does
+ * not contract a*b + c into a fused multiply-add.
  */
 
 #include <gtest/gtest.h>
@@ -63,6 +64,19 @@ TEST(Round, SeededDoublesMatchLibm)
             sim::fracPart(x) != x - std::floor(x);
     }
     EXPECT_EQ(mismatches, 0);
+}
+
+// The build passes -ffp-contract=off. With a = 1 + 2^-30 and
+// b = 1 - 2^-30, a*b = 1 - 2^-60 rounds to 1.0, so a*b + c with c = -1
+// is exactly 0; a fused multiply-add keeps the product unrounded and
+// gives -2^-60. The volatile inputs keep the compiler from folding it.
+TEST(FloatingPoint, MultiplyAddIsNotContracted)
+{
+    volatile double a = 1.0 + 0x1p-30;
+    volatile double b = 1.0 - 0x1p-30;
+    volatile double c = -1.0;
+    const double r = a * b + c;
+    EXPECT_EQ(r, 0.0) << std::hexfloat << r;
 }
 
 } // namespace
